@@ -1,9 +1,25 @@
 """Closed-form Gaussian rate regions and outer bounds.
 
-Each function evaluates one region for a fixed channel, slot split and power
-allocation and returns it as a LinearRegion (one R1 cap, one R2 cap, the sum
-caps in the scheme's order).  A slot of zero length contributes exactly zero
-regardless of the allocation, so boundary slot splits are safe.
+This module is the single source of every region formula.  There is one
+kernel per scheme family: ``pdf_caps`` for the superposition schemes
+(PDF_JOINT, PDF_SEPARATE, PDF_PARTIAL) and ``df_caps`` for decode-forward and
+its outer bounds (DF, OUTER, DEGRADED, which differ only in the effective
+inter-user gains built by ``df_gains`` and in whether the two middle sum caps
+are dropped).  A kernel maps slot fractions and per-slot powers to
+(R1 cap, R2 cap, sum caps).  It uses only arithmetic operators plus three
+primitives passed in as ``ops = (term, sqrt, min)``, where
+``term(alpha, num, noise)`` is alpha * C(num / noise) and ``min`` takes two
+arguments, so the same source runs on Python floats and on numpy arrays:
+
+- ``CHECKED_OPS`` validate their arguments; the ``*_region`` functions use
+  them and return a LinearRegion (one R1 cap, one R2 cap, the sum caps in the
+  scheme's order);
+- ``SCALAR_OPS`` are the unchecked float primitives of the optimizer's local
+  search;
+- ``ARRAY_OPS`` evaluate arrays of points elementwise in one call.
+
+A slot of zero length contributes exactly zero regardless of the allocation,
+so boundary slot splits are safe.
 
 The decode-forward coherent term is
     K10^2 (P13 + PS1) + K20^2 (P23 + PS2) + 2 K10 K20 sqrt(PS1 PS2),
@@ -15,6 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import (
     ChannelGains,
@@ -29,6 +47,7 @@ from .core import (
     polygon_from_constraints,
 )
 
+_LN2 = math.log(2.0)
 _SQRT_CLAMP = -1e-12  # round-off guard for sqrt arguments near zero
 
 
@@ -65,42 +84,97 @@ def _term(alpha: float, power_term: float, noise: float) -> float:
     return alpha * c_gauss(power_term / noise)
 
 
+def _scalar_term(alpha: float, num: float, noise: float) -> float:
+    """Unchecked alpha * C(num/noise), exactly 0 for a zero-length slot."""
+    return 0.5 * alpha * math.log1p(num / noise) / _LN2 if alpha > 0.0 else 0.0
+
+
+def _array_term(alpha, num, noise):
+    # alpha * C(.) of a finite SNR is already 0 where alpha == 0.  np.log1p
+    # may differ from math.log1p in the last place, so array results match
+    # the float path to rounding, not bit for bit.
+    return 0.5 * alpha * np.log1p(num / noise) / _LN2
+
+
+def _min(a: float, b: float) -> float:
+    # cheaper than builtins.min for two floats
+    return a if a < b else b
+
+
+CHECKED_OPS = (_term, _sqrt, _min)
+SCALAR_OPS = (_scalar_term, math.sqrt, _min)
+ARRAY_OPS = (_array_term, np.sqrt, np.minimum)
+
+
 # ---------------------------------------------------------------------------
 # superposition / partial-decode-forward scheme
 # ---------------------------------------------------------------------------
 
-def _pdf_sum_terms(g: ChannelGains, a: PdfAllocation):
-    """Slot-3 power patterns shared by all three PDF-style regions."""
-    k10, k20 = g.k10, g.k20
-    ac2 = a.c2 * a.pu   # user 1 power on its own public symbol
-    ac3 = a.c3 * a.pv   # user 1 power on the partner's public symbol
-    ad2 = a.d2 * a.pv   # user 2 power on its own public symbol
-    ad3 = a.d3 * a.pu   # user 2 power on the partner's public symbol
-    priv = k10 * k10 * a.p13 + k20 * k20 * a.p23
-    coh_u = k10 * k10 * ac2 + k20 * k20 * ad3 + 2.0 * k10 * k20 * _sqrt(ac2 * ad3)
-    coh_v = k10 * k10 * ac3 + k20 * k20 * ad2 + 2.0 * k10 * k20 * _sqrt(ac3 * ad2)
-    return priv, coh_u, coh_v
+def pdf_gains(g: ChannelGains):
+    """Kernel gains (K12^2, K21^2, K10, K20, N) of the superposition schemes."""
+    return g.k12 ** 2, g.k21 ** 2, g.k10, g.k20, g.noise
+
+
+def pdf_caps(scheme: str, gains, a1, a2, a3, powers, ops, literal_p1=None):
+    """Caps (r1, r2, (s1, s2, s3, s4)) of a superposition scheme.
+
+    ``gains`` come from pdf_gains.  ``powers`` are
+    (pu, p10, pv, p20, p13, p23, ac2, ac3, ad2, ad3), where the four atoms
+    are the slot-3 powers re-spent on the public symbols: user 1 on its own
+    (ac2) and on the partner's (ac3), user 2 on its own (ad2) and on the
+    partner's (ad3).  PDF_SEPARATE takes ``literal_p1`` as described in
+    pdf_separate_region.
+    """
+    term, sqrt, mn = ops
+    k12s, k21s, k10, k20, n = gains
+    pu, p10, pv, p20, p13, p23, ac2, ac3, ad2, ad3 = powers
+    k10s = k10 * k10
+    k20s = k20 * k20
+    su1 = pu + p10
+    su2 = pv + p20
+    if scheme == "PDF_PARTIAL":
+        # the partner decodes only the public part, against the private
+        # interference; the destination decodes the private part
+        t12 = term(a1, k12s * pu * n / (k12s * p10 + n), n) + term(a1, k10s * p10, n)
+        t21 = term(a2, k21s * pv * n / (k21s * p20 + n), n) + term(a2, k20s * p20, n)
+    else:
+        t12 = term(a1, k12s * su1, n)
+        t21 = term(a2, k21s * su2, n)
+    if scheme == "PDF_SEPARATE":
+        # slot-by-slot decoding: the conditioned slot-1/2 terms keep only
+        # the private power
+        u1 = mn(term(a1, k12s * p10, n), term(a1, k10s * p10, n))
+        u2 = mn(term(a2, k21s * p20, n), term(a2, k20s * p20, n))
+    else:
+        u1 = term(a1, k10s * su1, n)
+        u2 = term(a2, k20s * su2, n)
+    u1_last = u1
+    if literal_p1 is not None:
+        u1_last = mn(term(a1, k12s * literal_p1, n), term(a1, k10s * p10, n))
+    priv = k10s * p13 + k20s * p23
+    coh_u = k10s * ac2 + k20s * ad3 + 2.0 * k10 * k20 * sqrt(ac2 * ad3)
+    coh_v = k10s * ac3 + k20s * ad2 + 2.0 * k10 * k20 * sqrt(ac3 * ad2)
+    r1 = t12 + term(a3, k10s * p13, n)
+    r2 = t21 + term(a3, k20s * p23, n)
+    s1 = t12 + t21 + term(a3, priv, n)
+    s2 = u1 + t21 + term(a3, priv + coh_u, n)
+    s3 = t12 + u2 + term(a3, priv + coh_v, n)
+    s4 = u1_last + u2 + term(a3, priv + coh_u + coh_v, n)
+    return r1, r2, (s1, s2, s3, s4)
+
+
+def _pdf_region(scheme: str, g: ChannelGains, slots: TimeSlots, a: PdfAllocation,
+                literal_p1: float | None = None) -> LinearRegion:
+    powers = (a.pu, a.p10, a.pv, a.p20, a.p13, a.p23,
+              a.c2 * a.pu, a.c3 * a.pv, a.d2 * a.pv, a.d3 * a.pu)
+    r1, r2, sums = pdf_caps(scheme, pdf_gains(g), slots.a1, slots.a2, slots.a3, powers,
+                            CHECKED_OPS, literal_p1)
+    return LinearRegion((r1,), (r2,), sums)
 
 
 def pdf_joint_region(g: ChannelGains, slots: TimeSlots, a: PdfAllocation) -> LinearRegion:
     """Superposition scheme, full decoding at each user, joint decoding at the destination."""
-    n = g.noise
-    a1, a2, a3 = slots.a1, slots.a2, slots.a3
-    su1 = a.pu + a.p10
-    su2 = a.pv + a.p20
-    t12 = _term(a1, g.k12 ** 2 * su1, n)
-    t10 = _term(a1, g.k10 ** 2 * su1, n)
-    t21 = _term(a2, g.k21 ** 2 * su2, n)
-    t20 = _term(a2, g.k20 ** 2 * su2, n)
-    priv, coh_u, coh_v = _pdf_sum_terms(g, a)
-
-    r1 = t12 + _term(a3, g.k10 ** 2 * a.p13, n)
-    r2 = t21 + _term(a3, g.k20 ** 2 * a.p23, n)
-    s1 = t12 + t21 + _term(a3, priv, n)
-    s2 = t10 + t21 + _term(a3, priv + coh_u, n)
-    s3 = t12 + t20 + _term(a3, priv + coh_v, n)
-    s4 = t10 + t20 + _term(a3, priv + coh_u + coh_v, n)
-    return LinearRegion((r1,), (r2,), (s1, s2, s3, s4))
+    return _pdf_region("PDF_JOINT", g, slots, a)
 
 
 def pdf_separate_region(g: ChannelGains, slots: TimeSlots, a: PdfAllocation,
@@ -112,30 +186,7 @@ def pdf_separate_region(g: ChannelGains, slots: TimeSlots, a: PdfAllocation,
     ``literal_p1`` to evaluate the total-power variant of that argument
     instead, for comparison.
     """
-    n = g.noise
-    a1, a2, a3 = slots.a1, slots.a2, slots.a3
-    su1 = a.pu + a.p10
-    su2 = a.pv + a.p20
-    t12 = _term(a1, g.k12 ** 2 * su1, n)
-    t21 = _term(a2, g.k21 ** 2 * su2, n)
-    priv, coh_u, coh_v = _pdf_sum_terms(g, a)
-
-    # conditioned slot-1/2 terms: only the private power remains
-    m1 = min(_term(a1, g.k12 ** 2 * a.p10, n), _term(a1, g.k10 ** 2 * a.p10, n))
-    m2 = min(_term(a2, g.k21 ** 2 * a.p20, n), _term(a2, g.k20 ** 2 * a.p20, n))
-    if literal_p1 is None:
-        m1_last = m1
-    else:
-        m1_last = min(_term(a1, g.k12 ** 2 * literal_p1, n),
-                      _term(a1, g.k10 ** 2 * a.p10, n))
-
-    r1 = t12 + _term(a3, g.k10 ** 2 * a.p13, n)
-    r2 = t21 + _term(a3, g.k20 ** 2 * a.p23, n)
-    s1 = t12 + t21 + _term(a3, priv, n)
-    s2 = m1 + t21 + _term(a3, priv + coh_u, n)
-    s3 = t12 + m2 + _term(a3, priv + coh_v, n)
-    s4 = m1_last + m2 + _term(a3, priv + coh_u + coh_v, n)
-    return LinearRegion((r1,), (r2,), (s1, s2, s3, s4))
+    return _pdf_region("PDF_SEPARATE", g, slots, a, literal_p1)
 
 
 def pdf_partial_user_region(g: ChannelGains, slots: TimeSlots, a: PdfAllocation) -> LinearRegion:
@@ -146,84 +197,89 @@ def pdf_partial_user_region(g: ChannelGains, slots: TimeSlots, a: PdfAllocation)
         C(K12^2 (PU+P10)/N) -> C(K12^2 PU / (K12^2 P10 + N)) + C(K10^2 P10 / N)
     and symmetrically for user 2.
     """
-    n = g.noise
-    a1, a2, a3 = slots.a1, slots.a2, slots.a3
-    su1 = a.pu + a.p10
-    su2 = a.pv + a.p20
-    t12 = (_term(a1, g.k12 ** 2 * a.pu * n / (g.k12 ** 2 * a.p10 + n), n)
-           + _term(a1, g.k10 ** 2 * a.p10, n))
-    t10 = _term(a1, g.k10 ** 2 * su1, n)
-    t21 = (_term(a2, g.k21 ** 2 * a.pv * n / (g.k21 ** 2 * a.p20 + n), n)
-           + _term(a2, g.k20 ** 2 * a.p20, n))
-    t20 = _term(a2, g.k20 ** 2 * su2, n)
-    priv, coh_u, coh_v = _pdf_sum_terms(g, a)
-
-    r1 = t12 + _term(a3, g.k10 ** 2 * a.p13, n)
-    r2 = t21 + _term(a3, g.k20 ** 2 * a.p23, n)
-    s1 = t12 + t21 + _term(a3, priv, n)
-    s2 = t10 + t21 + _term(a3, priv + coh_u, n)
-    s3 = t12 + t20 + _term(a3, priv + coh_v, n)
-    s4 = t10 + t20 + _term(a3, priv + coh_u + coh_v, n)
-    return LinearRegion((r1,), (r2,), (s1, s2, s3, s4))
+    return _pdf_region("PDF_PARTIAL", g, slots, a)
 
 
 # ---------------------------------------------------------------------------
 # decode-forward scheme and its outer bounds
 # ---------------------------------------------------------------------------
 
-def _df_assemble(g: ChannelGains, slots: TimeSlots, a: DfAllocation,
-                 t12: float, t21: float, drop_middle: bool) -> LinearRegion:
-    n = g.noise
-    a1, a2, a3 = slots.a1, slots.a2, slots.a3
-    k10, k20 = g.k10, g.k20
-    t10 = _term(a1, k10 * k10 * a.p12, n)
-    t20 = _term(a2, k20 * k20 * a.p21, n)
-    priv = k10 * k10 * a.p13 + k20 * k20 * a.p23
-    coh = (k10 * k10 * (a.p13 + a.ps1) + k20 * k20 * (a.p23 + a.ps2)
-           + 2.0 * k10 * k20 * _sqrt(a.ps1 * a.ps2))
+def df_gains(scheme: str, g: ChannelGains, rho: NoiseCorrelation | None = None):
+    """Kernel gains (E12, E21, K10, K20, N) of DF, OUTER or DEGRADED.
 
-    r1 = t12 + _term(a3, k10 * k10 * a.p13, n)
-    r2 = t21 + _term(a3, k20 * k20 * a.p23, n)
-    c_coh = _term(a3, coh, n)
-    s1 = t12 + t21 + _term(a3, priv, n)
-    s4 = t10 + t20 + c_coh
-    if drop_middle:
-        sums = (s1, s4)
+    E12 is K12^2 for DF, K12^2 + K10^2 for the cut-set bound OUTER and
+    (K12^2 + K10^2 - 2 K10 K12 rho1) / (1 - rho1^2) for DEGRADED, whose
+    inter-user noise is correlated with the destination noise; E21 likewise.
+    """
+    k10s = g.k10 * g.k10
+    k20s = g.k20 * g.k20
+    if scheme == "DF":
+        e12, e21 = g.k12 ** 2, g.k21 ** 2
+    elif scheme == "OUTER":
+        e12, e21 = g.k12 ** 2 + k10s, g.k21 ** 2 + k20s
     else:
-        s2 = t10 + t21 + c_coh
-        s3 = t12 + t20 + c_coh
-        sums = (s1, s2, s3, s4)
+        if rho is None:
+            raise ValidationError("DEGRADED needs a NoiseCorrelation")
+        if abs(rho.rho1) >= 1.0 or abs(rho.rho2) >= 1.0:
+            raise ValidationError("DEGRADED: |rho| = 1 is singular")
+        e12 = (g.k12 ** 2 + k10s - 2.0 * g.k10 * g.k12 * rho.rho1) / (1.0 - rho.rho1 ** 2)
+        e21 = (g.k21 ** 2 + k20s - 2.0 * g.k20 * g.k21 * rho.rho2) / (1.0 - rho.rho2 ** 2)
+        e12, e21 = max(0.0, e12), max(0.0, e21)
+    return e12, e21, g.k10, g.k20, g.noise
+
+
+def df_caps(scheme: str, gains, a1, a2, a3, powers, ops):
+    """Caps (r1, r2, sums) of DF, OUTER or DEGRADED.
+
+    ``gains`` come from df_gains; ``powers`` are (p12, p21, p13, p23, ps1, ps2).
+    The sums are (s1, s2, s3, s4) for DF; the outer bounds drop the two
+    middle sum caps, which are redundant there, and return (s1, s4).
+    """
+    term, sqrt, _ = ops
+    e12, e21, k10, k20, n = gains
+    p12, p21, p13, p23, ps1, ps2 = powers
+    k10s = k10 * k10
+    k20s = k20 * k20
+    t12 = term(a1, e12 * p12, n)
+    t21 = term(a2, e21 * p21, n)
+    t10 = term(a1, k10s * p12, n)
+    t20 = term(a2, k20s * p21, n)
+    priv = k10s * p13 + k20s * p23
+    c_coh = term(a3, priv + k10s * ps1 + k20s * ps2 + 2.0 * k10 * k20 * sqrt(ps1 * ps2), n)
+    r1 = t12 + term(a3, k10s * p13, n)
+    r2 = t21 + term(a3, k20s * p23, n)
+    s1 = t12 + t21 + term(a3, priv, n)
+    s4 = t10 + t20 + c_coh
+    if scheme != "DF":
+        return r1, r2, (s1, s4)
+    return r1, r2, (s1, t10 + t21 + c_coh, t12 + t20 + c_coh, s4)
+
+
+def _df_region(scheme: str, g: ChannelGains, slots: TimeSlots, a: DfAllocation,
+               rho: NoiseCorrelation | None = None) -> LinearRegion:
+    powers = (a.p12, a.p21, a.p13, a.p23, a.ps1, a.ps2)
+    r1, r2, sums = df_caps(scheme, df_gains(scheme, g, rho), slots.a1, slots.a2, slots.a3,
+                           powers, CHECKED_OPS)
     return LinearRegion((r1,), (r2,), sums)
 
 
 def df_region(g: ChannelGains, slots: TimeSlots, a: DfAllocation) -> LinearRegion:
     """Decode-forward scheme with joint decoding at the destination."""
-    t12 = _term(slots.a1, g.k12 ** 2 * a.p12, g.noise)
-    t21 = _term(slots.a2, g.k21 ** 2 * a.p21, g.noise)
-    return _df_assemble(g, slots, a, t12, t21, drop_middle=False)
+    return _df_region("DF", g, slots, a)
 
 
 def gaussian_outer_region(g: ChannelGains, slots: TimeSlots, a: DfAllocation) -> LinearRegion:
     """Cut-set style outer bound: the DF region with K12^2 -> K12^2 + K10^2 and
     K21^2 -> K21^2 + K20^2; the two middle sum caps become redundant and are
     dropped from the returned set."""
-    t12 = _term(slots.a1, (g.k12 ** 2 + g.k10 ** 2) * a.p12, g.noise)
-    t21 = _term(slots.a2, (g.k21 ** 2 + g.k20 ** 2) * a.p21, g.noise)
-    return _df_assemble(g, slots, a, t12, t21, drop_middle=True)
+    return _df_region("OUTER", g, slots, a)
 
 
 def degraded_outer_region(g: ChannelGains, slots: TimeSlots, a: DfAllocation,
                           rho: NoiseCorrelation) -> LinearRegion:
     """Outer bound when each inter-user noise is correlated with the
     destination noise.  Requires |rho| < 1 for both factors."""
-    if abs(rho.rho1) >= 1.0 or abs(rho.rho2) >= 1.0:
-        raise ValidationError("degraded_outer_region: |rho| = 1 is singular")
-    n = g.noise
-    num1 = (g.k12 ** 2 + g.k10 ** 2 - 2.0 * g.k10 * g.k12 * rho.rho1) * a.p12
-    num2 = (g.k21 ** 2 + g.k20 ** 2 - 2.0 * g.k20 * g.k21 * rho.rho2) * a.p21
-    t12 = _term(slots.a1, num1 / (1.0 - rho.rho1 ** 2), n)
-    t21 = _term(slots.a2, num2 / (1.0 - rho.rho2 ** 2), n)
-    return _df_assemble(g, slots, a, t12, t21, drop_middle=True)
+    return _df_region("DEGRADED", g, slots, a, rho)
 
 
 # ---------------------------------------------------------------------------

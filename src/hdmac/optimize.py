@@ -1,11 +1,15 @@
 """Weighted sum-rate maximization over slot splits and power allocations.
 
-The search is derivative-free and deterministic: a scan over a slot grid
-crossed with a rank-1 lattice sample of each scheme's allocation simplex
-(every scanned point satisfies the per-user power identity by construction),
-then cyclic pattern refinement with multiplicative step shrink from the best
-scanned points, finished by a simplex polish that can walk the ridges where
-several sum caps tie.
+The search is derivative-free and deterministic.  Phase 1 scans a slot grid
+crossed with a rank-1 lattice sample and structured anchor points of each
+scheme's allocation simplex (every scanned point satisfies the per-user power
+identity by construction).  The whole scan is one array: the unit-cube
+parameterization and the scheme family's cap kernel from gaussian.py run on
+numpy arrays, and the LP value of every point is taken at once; ``frontier``
+reuses the table across its directions.  The best points of distinct slot
+cells then get cyclic pattern refinement with multiplicative step shrink,
+finished by a simplex polish that can walk the ridges where several sum caps
+tie; both run the same kernel on Python floats.
 
 Directions with mu2 > mu1 are solved on the user-swapped problem and
 mirrored back, so symmetric scenarios give exactly symmetric results.
@@ -13,9 +17,13 @@ mirrored back, so symmetric scenarios give exactly symmetric results.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .core import (
     ChannelGains,
@@ -31,16 +39,20 @@ from .core import (
     polygon_from_constraints,
 )
 from .gaussian import (
+    ARRAY_OPS,
+    SCALAR_OPS,
     NoiseCorrelation,
+    df_caps,
+    df_gains,
     df_region,
     degraded_outer_region,
     gaussian_outer_region,
     pdf_joint_region,
     pdf_partial_user_region,
+    pdf_caps,
+    pdf_gains,
     pdf_separate_region,
 )
-
-_LN2 = math.log(2.0)
 
 SCHEMES = ("PDF_JOINT", "PDF_SEPARATE", "PDF_PARTIAL", "DF", "OUTER", "DEGRADED")
 _PDF_SCHEMES = ("PDF_JOINT", "PDF_SEPARATE", "PDF_PARTIAL")
@@ -62,6 +74,10 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("slot_grid", "power_grid", "refine_iters"):
+            v = getattr(self, name)
+            _check(isinstance(v, numbers.Integral) and not isinstance(v, bool),
+                   f"SearchConfig.{name} must be an integer, got {v!r}")
         _check(self.slot_grid >= 2, "SearchConfig.slot_grid must be >= 2")
         _check(self.power_grid >= 2, "SearchConfig.power_grid must be >= 2")
         _check(self.refine_iters >= 0, "SearchConfig.refine_iters must be >= 0")
@@ -169,191 +185,112 @@ def scheme_region(scheme: str, g: ChannelGains, slots: TimeSlots,
     if scheme == "OUTER":
         return gaussian_outer_region(g, slots, alloc)
     if scheme == "DEGRADED":
-        if rho is None:
-            raise ValidationError("DEGRADED region needs a NoiseCorrelation")
         return degraded_outer_region(g, slots, alloc, rho)
     raise ValidationError(f"unknown scheme {scheme!r}")
 
 
 # ---------------------------------------------------------------------------
-# feasible parameterizations (unit cube -> allocation)
+# feasible parameterizations (unit cube -> slot fractions and powers)
+#
+# Written without branches so that they run on floats and on numpy arrays
+# alike: a comparison acts as a 0/1 mask, and the denominator of an empty
+# slot is replaced by 1 before the mask zeroes the quotient.
 # ---------------------------------------------------------------------------
 
-def _df_split(a_slot: float, a3: float, total: float, gshare: float, h: float):
-    """Slot power split for one DF user: returns (slot power, private, coop)."""
-    if a_slot <= 0.0:
-        gshare = 0.0
-    if a3 <= 0.0:
-        gshare = 1.0
-    p_slot = gshare * total / a_slot if a_slot > 0.0 else 0.0
-    b = (1.0 - gshare) * total / a3 if a3 > 0.0 else 0.0
-    p_priv = h * b
-    return p_slot, p_priv, b - p_priv
+def _shares(a1, a2, g1, g2, p_1: float, p_2: float):
+    """Slot-3 fraction and each user's powers (own slot, slot 3) for own-slot
+    budget shares g1 and g2.  An empty own slot gets no power; an empty
+    slot 3 leaves the whole budget to the own slot."""
+    a3 = 1.0 - a1 - a2
+    on1, on2, on3 = a1 > 0.0, a2 > 0.0, a3 > 0.0
+    off3 = a3 <= 0.0
+    g1 = g1 * on1 * on3 + off3
+    g2 = g2 * on2 * on3 + off3
+    d3 = a3 + off3
+    return (a3 * on3,
+            g1 * p_1 / (a1 + (a1 <= 0.0)) * on1, (1.0 - g1) * p_1 / d3 * on3,
+            g2 * p_2 / (a2 + (a2 <= 0.0)) * on2, (1.0 - g2) * p_2 / d3 * on3)
 
 
-def _pdf_split(a_slot: float, a3: float, total: float, gshare: float, s: float,
-               ta: float, tb: float):
-    """Slot power split for one PDF user.
+def _df_split(x, p_1: float, p_2: float):
+    """x = (a1, a2, g1, h1, g2, h2) -> (a3, df_caps powers).
 
-    Returns (public, private_slot1, private_slot3, own_atom, cross_atom)
-    where the atoms are the slot-3 powers re-spent on the user's own and the
-    partner's public symbols.
+    gk is user k's own-slot budget share and hk the private share of its
+    slot-3 power; the rest of the slot-3 power goes to the coherent symbol.
     """
-    if a_slot <= 0.0:
-        gshare = 0.0
-    if a3 <= 0.0:
-        gshare = 1.0
-    slot1 = gshare * total / a_slot if a_slot > 0.0 else 0.0
-    pu = s * slot1
-    b = (1.0 - gshare) * total / a3 if a3 > 0.0 else 0.0
-    p3 = ta * b
-    rest = b - p3
-    own = tb * rest
-    return pu, slot1 - pu, p3, own, rest - own
+    a3, p12, b1, p21, b2 = _shares(x[0], x[1], x[2], x[4], p_1, p_2)
+    p13 = x[3] * b1
+    p23 = x[5] * b2
+    return a3, (p12, p21, p13, p23, b1 - p13, b2 - p23)
+
+
+def _pdf_split(x, p_1: float, p_2: float):
+    """x = (a1, a2, g1, s1, ta1, tb1, g2, s2, ta2, tb2) -> (a3, pdf_caps powers).
+
+    gk is user k's own-slot budget share, sk the public share of its slot
+    power, tak the private share of its slot-3 power and tbk the share of
+    the remaining slot-3 power re-spent on its own public symbol (the rest
+    goes to the partner's).
+    """
+    a3, slot1, b1, slot2, b2 = _shares(x[0], x[1], x[2], x[6], p_1, p_2)
+    pu = x[3] * slot1
+    pv = x[7] * slot2
+    p13 = x[4] * b1
+    p23 = x[8] * b2
+    rest1 = b1 - p13
+    rest2 = b2 - p23
+    ac2 = x[5] * rest1
+    ad2 = x[9] * rest2
+    ac3 = rest1 - ac2
+    ad3 = rest2 - ad2
+    # atoms riding on a public symbol that carries no power become private
+    u_on, v_on = pu > 0.0, pv > 0.0
+    u_off, v_off = pu <= 0.0, pv <= 0.0
+    return a3, (pu, slot1 - pu, pv, slot2 - pv,
+                p13 + ac2 * u_off + ac3 * v_off, p23 + ad3 * u_off + ad2 * v_off,
+                ac2 * u_on, ac3 * v_on, ad2 * v_on, ad3 * u_on)
 
 
 def _evaluator(scheme: str, g: ChannelGains, budget: PowerBudget,
                rho: Optional[NoiseCorrelation]):
     """Build (caps, alloc_of, dim) for a scheme.
 
-    caps(x) maps a feasible parameter vector x = (a1, a2, params...) to the
-    region caps (m1, m2, min_sum); alloc_of(x) rebuilds the domain objects.
+    caps(x) maps a parameter vector x = (a1, a2, params...) in the unit cube
+    to the region caps (m1, m2, min_sum) through the scheme's kernel in
+    gaussian.py; caps(x, ARRAY_OPS) does the same for a sequence of
+    coordinate arrays, one point per element.  Every x meets the per-user
+    power identity by construction.  alloc_of(x) rebuilds the domain objects.
     """
-    n = g.noise
-    k10, k20 = g.k10, g.k20
-    k10s, k20s = k10 * k10, k20 * k20
     p_1, p_2 = budget.p1, budget.p2
-    log1p = math.log1p
-    sqrt = math.sqrt
-
-    def term(alpha: float, num: float) -> float:
-        return 0.5 * alpha * log1p(num / n) / _LN2 if alpha > 0.0 else 0.0
-
     if scheme in _DF_SCHEMES:
-        if scheme == "DF":
-            e12 = g.k12 ** 2
-            e21 = g.k21 ** 2
-        elif scheme == "OUTER":
-            e12 = g.k12 ** 2 + k10s
-            e21 = g.k21 ** 2 + k20s
-        else:
-            if rho is None:
-                raise ValidationError("DEGRADED scheme needs a NoiseCorrelation")
-            if abs(rho.rho1) >= 1.0 or abs(rho.rho2) >= 1.0:
-                raise ValidationError("DEGRADED scheme: |rho| = 1 is singular")
-            e12 = (g.k12 ** 2 + k10s - 2.0 * k10 * g.k12 * rho.rho1) / (1.0 - rho.rho1 ** 2)
-            e21 = (g.k21 ** 2 + k20s - 2.0 * k20 * g.k21 * rho.rho2) / (1.0 - rho.rho2 ** 2)
-            e12 = max(0.0, e12)
-            e21 = max(0.0, e21)
-        drop_middle = scheme != "DF"
+        split, kernel, gains, dim = _df_split, df_caps, df_gains(scheme, g, rho), 4
+    elif scheme in _PDF_SCHEMES:
+        split, kernel, gains, dim = _pdf_split, pdf_caps, pdf_gains(g), 8
+    else:
+        raise ValidationError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
 
-        def caps(x):
-            a1, a2 = x[0], x[1]
-            a3 = 1.0 - a1 - a2
-            if a3 < 0.0:
-                a3 = 0.0
-            p12, p13, ps1 = _df_split(a1, a3, p_1, x[2], x[3])
-            p21, p23, ps2 = _df_split(a2, a3, p_2, x[4], x[5])
-            t12 = term(a1, e12 * p12)
-            t21 = term(a2, e21 * p21)
-            t10 = term(a1, k10s * p12)
-            t20 = term(a2, k20s * p21)
-            priv = k10s * p13 + k20s * p23
-            coh = priv + k10s * ps1 + k20s * ps2 + 2.0 * k10 * k20 * sqrt(ps1 * ps2)
-            m1 = t12 + term(a3, k10s * p13)
-            m2 = t21 + term(a3, k20s * p23)
-            c_coh = term(a3, coh)
-            s1 = t12 + t21 + term(a3, priv)
-            s4 = t10 + t20 + c_coh
-            ms = s1 if s1 < s4 else s4
-            if not drop_middle:
-                s2 = t10 + t21 + c_coh
-                s3 = t12 + t20 + c_coh
-                if s2 < ms:
-                    ms = s2
-                if s3 < ms:
-                    ms = s3
-            return m1, m2, ms
+    def caps(x, ops=SCALAR_OPS):
+        a3, powers = split(x, p_1, p_2)
+        m1, m2, sums = kernel(scheme, gains, x[0], x[1], a3, powers, ops)
+        mn = ops[2]
+        least = mn(sums[0], sums[1])
+        if len(sums) == 4:
+            least = mn(least, mn(sums[2], sums[3]))
+        return m1, m2, least
 
-        def alloc_of(x):
-            a1, a2 = x[0], x[1]
-            a3 = max(0.0, 1.0 - a1 - a2)
-            p12, p13, ps1 = _df_split(a1, a3, p_1, x[2], x[3])
-            p21, p23, ps2 = _df_split(a2, a3, p_2, x[4], x[5])
-            return (TimeSlots.from_first_two(a1, a2),
-                    DfAllocation(p12, p21, p13, p23, ps1, ps2))
+    def alloc_of(x):
+        powers = split(x, p_1, p_2)[1]
+        slots = TimeSlots.from_first_two(x[0], x[1])
+        if split is _df_split:
+            return slots, DfAllocation(*powers)
+        pu, p10, pv, p20, p13, p23, ac2, ac3, ad2, ad3 = powers
+        c2 = ac2 / pu if pu > 0.0 else 0.0
+        c3 = ac3 / pv if pv > 0.0 else 0.0
+        d2 = ad2 / pv if pv > 0.0 else 0.0
+        d3 = ad3 / pu if pu > 0.0 else 0.0
+        return slots, PdfAllocation(p10, p20, pu, pv, p13, p23, c2, c3, d2, d3)
 
-        return caps, alloc_of, 4
-
-    if scheme in _PDF_SCHEMES:
-        k12s = g.k12 ** 2
-        k21s = g.k21 ** 2
-        mode = scheme
-
-        def split(x):
-            a1, a2 = x[0], x[1]
-            a3 = 1.0 - a1 - a2
-            if a3 < 0.0:
-                a3 = 0.0
-            pu, p10, p13, ac2, ac3 = _pdf_split(a1, a3, p_1, x[2], x[3], x[4], x[5])
-            pv, p20, p23, ad2, ad3 = _pdf_split(a2, a3, p_2, x[6], x[7], x[8], x[9])
-            # atoms riding on a public symbol that carries no power become private
-            if pu <= 0.0:
-                p13 += ac2
-                ac2 = 0.0
-                p23 += ad3
-                ad3 = 0.0
-            if pv <= 0.0:
-                p13 += ac3
-                ac3 = 0.0
-                p23 += ad2
-                ad2 = 0.0
-            return a1, a2, a3, pu, p10, pv, p20, p13, p23, ac2, ac3, ad2, ad3
-
-        def caps(x):
-            a1, a2, a3, pu, p10, pv, p20, p13, p23, ac2, ac3, ad2, ad3 = split(x)
-            su1 = pu + p10
-            su2 = pv + p20
-            t10 = term(a1, k10s * su1)
-            t20 = term(a2, k20s * su2)
-            if mode == "PDF_PARTIAL":
-                t12 = term(a1, k12s * pu * n / (k12s * p10 + n)) + term(a1, k10s * p10)
-                t21 = term(a2, k21s * pv * n / (k21s * p20 + n)) + term(a2, k20s * p20)
-            else:
-                t12 = term(a1, k12s * su1)
-                t21 = term(a2, k21s * su2)
-            priv = k10s * p13 + k20s * p23
-            coh_u = k10s * ac2 + k20s * ad3 + 2.0 * k10 * k20 * sqrt(ac2 * ad3)
-            coh_v = k10s * ac3 + k20s * ad2 + 2.0 * k10 * k20 * sqrt(ac3 * ad2)
-            m1 = t12 + term(a3, k10s * p13)
-            m2 = t21 + term(a3, k20s * p23)
-            if mode == "PDF_SEPARATE":
-                c1 = min(term(a1, k12s * p10), term(a1, k10s * p10))
-                c2_ = min(term(a2, k21s * p20), term(a2, k20s * p20))
-                s1 = t12 + t21 + term(a3, priv)
-                s2 = c1 + t21 + term(a3, priv + coh_u)
-                s3 = t12 + c2_ + term(a3, priv + coh_v)
-                s4 = c1 + c2_ + term(a3, priv + coh_u + coh_v)
-            else:
-                s1 = t12 + t21 + term(a3, priv)
-                s2 = t10 + t21 + term(a3, priv + coh_u)
-                s3 = t12 + t20 + term(a3, priv + coh_v)
-                s4 = t10 + t20 + term(a3, priv + coh_u + coh_v)
-            ms = min(s1, s2, s3, s4)
-            return m1, m2, ms
-
-        def alloc_of(x):
-            a1, a2, a3, pu, p10, pv, p20, p13, p23, ac2, ac3, ad2, ad3 = split(x)
-            c2 = ac2 / pu if pu > 0.0 else 0.0
-            c3 = ac3 / pv if pv > 0.0 else 0.0
-            d2 = ad2 / pv if pv > 0.0 else 0.0
-            d3 = ad3 / pu if pu > 0.0 else 0.0
-            return (TimeSlots.from_first_two(a1, a2),
-                    PdfAllocation(p10, p20, pu, pv, p13, p23, c2, c3, d2, d3))
-
-        return caps, alloc_of, 10 - 2  # 8 allocation params
-
-    raise ValidationError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+    return caps, alloc_of, dim
 
 
 # ---------------------------------------------------------------------------
@@ -364,82 +301,62 @@ _IRRATIONALS = tuple(math.sqrt(p) % 1.0 for p in (2, 3, 5, 7, 11, 13, 17, 19, 23
 
 
 def _lattice(count: int, dim: int, seed: int):
-    """Deterministic low-discrepancy points in the unit cube."""
-    base = [((seed + 1) * math.sqrt(41 + d)) % 1.0 for d in range(dim)]
-    pts = []
-    for j in range(1, count + 1):
-        pts.append(tuple((base[d] + j * _IRRATIONALS[d % len(_IRRATIONALS)]) % 1.0
-                         for d in range(dim)))
-    return pts
+    """Deterministic low-discrepancy points in the unit cube, one per row."""
+    base = np.array([((seed + 1) * math.sqrt(41 + d)) % 1.0 for d in range(dim)])
+    steps = np.array([_IRRATIONALS[d % len(_IRRATIONALS)] for d in range(dim)])
+    return (base + np.arange(1, count + 1)[:, None] * steps) % 1.0
 
 
 def _anchors(scheme: str):
-    """Structured allocation corners worth probing in every slot cell."""
+    """Structured allocation corners worth probing in every slot cell, one per row."""
     levels = (0.0, 0.5, 1.0)
-    out = []
     if scheme in _DF_SCHEMES:
-        for g1 in levels:
-            for h1 in levels:
-                for g2 in levels:
-                    for h2 in levels:
-                        out.append((g1, h1, g2, h2))
-        return out
+        return np.array(list(itertools.product(levels, repeat=4)))
     # superposition family: favor the no-slot-1-private face (s = 1) with
     # symmetric slot shares and a few coherent-split patterns
-    for gv in (0.0, 0.25, 0.5, 0.75, 1.0):
-        for ta in levels:
-            for tb1 in levels:
-                for tb2 in levels:
-                    out.append((gv, 1.0, ta, tb1, gv, 1.0, ta, tb2))
-    for gv in levels:
-        for sv in (0.0, 0.5):
-            for ta in levels:
-                out.append((gv, sv, ta, 0.5, gv, sv, ta, 0.5))
-    return out
+    out = [(gv, 1.0, ta, tb1, gv, 1.0, ta, tb2) for gv, ta, tb1, tb2
+           in itertools.product((0.0, 0.25, 0.5, 0.75, 1.0), levels, levels, levels)]
+    out += [(gv, sv, ta, 0.5, gv, sv, ta, 0.5) for gv, sv, ta
+            in itertools.product(levels, (0.0, 0.5), levels)]
+    return np.array(out)
 
 
-def _value(caps, mu1: float, mu2: float):
-    """Exact LP maximum of mu1*r1 + mu2*r2 over the capped region (greedy fill)."""
+def _value(caps, mu1: float, mu2: float, ops=SCALAR_OPS):
+    """Exact LP maximum of mu1*r1 + mu2*r2 over the capped region (greedy
+    fill); with ARRAY_OPS it applies elementwise to arrays of caps."""
+    mn = ops[2]
     m1, m2, ms = caps
     if mu1 >= mu2:
-        r1 = m1 if m1 < ms else ms
-        rem = ms - r1
-        r2 = m2 if m2 < rem else rem
+        r1 = mn(m1, ms)
+        r2 = mn(m2, ms - r1)
     else:
-        r2 = m2 if m2 < ms else ms
-        rem = ms - r2
-        r1 = m1 if m1 < rem else rem
+        r2 = mn(m2, ms)
+        r1 = mn(m1, ms - r2)
     return mu1 * r1 + mu2 * r2, r1, r2
 
 
 _TIE_EPS = 1e-9
 
 
-def _score(caps, mu1: float, mu2: float) -> float:
+def _score(caps, mu1: float, mu2: float, ops=SCALAR_OPS):
     """Search score: the objective plus an epsilon preference for the
     complementary-weighted vertex, so axis directions still pick allocations
     whose polygon reaches the full corner instead of an equal-value axis
     point."""
-    v, r1, r2 = _value(caps, mu1, mu2)
+    v, r1, r2 = _value(caps, mu1, mu2, ops)
     return v + _TIE_EPS * (mu2 * r1 + mu1 * r2)
 
 
 def _phase1_xs(scheme: str, dim: int, cfg: SearchConfig):
-    slot_vals = [i / (cfg.slot_grid - 1) for i in range(cfg.slot_grid)]
-    lat = _lattice(cfg.power_grid ** 2, dim, cfg.seed)
-    anchors = _anchors(scheme)
-    xs = []
-    for a1 in slot_vals:
-        for a2 in slot_vals:
-            if a1 + a2 > 1.0 + 1e-12:
-                continue
-            a2c = min(a2, 1.0 - a1)
-            head = (a1, a2c)
-            for q in lat:
-                xs.append(head + q)
-            for q in anchors:
-                xs.append(head + q)
-    return xs
+    """Phase-1 scan points as a (2 + dim, n) array, one point per column:
+    every cell of the slot grid crossed with the lattice, then the anchors."""
+    vals = np.arange(cfg.slot_grid) / (cfg.slot_grid - 1)
+    a1, a2 = (v.ravel() for v in np.meshgrid(vals, vals, indexing="ij"))
+    keep = a1 + a2 <= 1.0 + 1e-12
+    a1 = a1[keep]
+    a2 = np.minimum(a2[keep], 1.0 - a1)
+    q = np.vstack((_lattice(cfg.power_grid ** 2, dim, cfg.seed), _anchors(scheme)))
+    return np.vstack((np.repeat(a1, len(q)), np.repeat(a2, len(q)), np.tile(q.T, len(a1))))
 
 
 def _clamp_move(x, moves):
@@ -521,6 +438,7 @@ def _nm_polish(caps_fn, x0, v0, mu1, mu2, cfg: SearchConfig):
 
     def neg(raw):
         counter[0] += 1
+        raw = raw.tolist()  # float math is much cheaper than numpy-scalar math
         pen = 0.0
         for v in raw:
             if v < 0.0:
@@ -657,25 +575,24 @@ def optimize_scheme(g: ChannelGains, budget: PowerBudget, scheme: str,
            cfg.slot_grid, cfg.power_grid, cfg.seed)
     if key not in _cache:
         xs = _phase1_xs(scheme, dim, cfg)
-        _cache[key] = [(x, caps_fn(x)) for x in xs]
-    table = _cache[key]
-
-    evals = len(table)
-    scored = []
-    for x, caps in table:
-        scored.append((_score(caps, mu1, mu2), x))
-    scored.sort(key=lambda t: t[0], reverse=True)
+        _cache[key] = xs, caps_fn(xs, ARRAY_OPS)
+    xs, table = _cache[key]
+    evals = xs.shape[1]
 
     # refinement starts come from distinct slot cells so the multi-start
-    # probes different basins instead of one winner's neighborhood
+    # probes different basins instead of one winner's neighborhood; the
+    # stable sort keeps scan order among equal scores
+    score = _score(table, mu1, mu2, ARRAY_OPS)
     starts = []
     seen_cells = set()
-    for v, x in scored:
-        cell = (x[0], x[1])
-        if cell in seen_cells:
+    for i in np.argsort(-score, kind="stable"):
+        x = tuple(xs[:, i].tolist())
+        if x[:2] in seen_cells:
             continue
-        seen_cells.add(cell)
-        starts.append((v, x))
+        seen_cells.add(x[:2])
+        # the table only ranks; a start carries its scalar-path score, which
+        # refinement compares against
+        starts.append((_score(caps_fn(x), mu1, mu2), x))
         if len(starts) >= _N_STARTS:
             break
     warm = []

@@ -93,6 +93,13 @@ def _num(node: dict, where: str, key: str, default=None) -> float:
     return float(v)
 
 
+def _int(node: dict, where: str, key: str, default: int) -> int:
+    v = _num(node, where, key, default)
+    if not float(v).is_integer():
+        raise ScenarioError(f"{where}.{key}: expected an integer, got {node[key]!r}")
+    return int(v)
+
+
 def _wrap(where: str, build):
     try:
         return build()
@@ -153,11 +160,11 @@ def _parse_search(node, where: str) -> SearchConfig:
     node = _expect_map(node, where)
     _take(node, where, ("slot_grid", "power_grid", "refine_iters", "refine_shrink", "seed"))
     return _wrap(where, lambda: SearchConfig(
-        slot_grid=int(_num(node, where, "slot_grid", 11)),
-        power_grid=int(_num(node, where, "power_grid", 9)),
-        refine_iters=int(_num(node, where, "refine_iters", 60)),
+        slot_grid=_int(node, where, "slot_grid", 11),
+        power_grid=_int(node, where, "power_grid", 9),
+        refine_iters=_int(node, where, "refine_iters", 60),
         refine_shrink=_num(node, where, "refine_shrink", 0.7),
-        seed=int(_num(node, where, "seed", 0))))
+        seed=_int(node, where, "seed", 0)))
 
 
 _DMC_TABLE_DIMS = {

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import gaussian_conditional_mi_bits
 
@@ -17,16 +19,22 @@ from hdmac.core import (
     polygon_from_constraints,
 )
 from hdmac.gaussian import (
+    ARRAY_OPS,
+    SCALAR_OPS,
     NoiseCorrelation,
     baseline_region,
     degraded_outer_region,
+    df_caps,
+    df_gains,
     df_region,
     gaussian_outer_region,
+    pdf_caps,
+    pdf_gains,
     pdf_joint_region,
     pdf_partial_user_region,
     pdf_separate_region,
 )
-from hdmac.optimize import region_contains, sample_allocation
+from hdmac.optimize import region_contains, sample_allocation, scheme_region
 
 C = c_gauss
 SYM = ChannelGains(2.0, 2.0, 1.0, 1.0, 1.0)
@@ -450,3 +458,135 @@ class TestCrossRegionInvariants:
             r1 = region_fn(SYM, slots, bumped)
             for b0, b1 in zip(all_bounds(r0), all_bounds(r1)):
                 assert b1 >= b0 - 1e-12, (region_fn.__name__, field)
+
+
+# ---------------------------------------------------------------------------
+# the formula kernels
+# ---------------------------------------------------------------------------
+
+G_ASYM = ChannelGains(2.0, 1.7, 0.9, 1.3, 0.8)
+G_WEAK = ChannelGains(0.6, 1.7, 0.9, 1.3, 0.8)  # k12 < k10
+SLOTS_ASYM = TimeSlots(0.25, 0.15, 0.6)
+PDF_A = PdfAllocation(p10=0.4, p20=0.7, pu=1.1, pv=0.9, p13=0.5, p23=0.3,
+                      c2=0.6, c3=0.2, d2=0.5, d3=0.3)
+DF_A = DfAllocation(p12=3.1, p21=2.4, p13=0.7, p23=1.1, ps1=0.9, ps2=0.4)
+RHO = NoiseCorrelation(0.3, -0.2)
+
+# (r1_bounds, r2_bounds, sum_bounds) recorded from the hand-written
+# per-scheme formulas that the kernels replaced
+GOLDEN = {
+    "pdf_joint": (
+        lambda: pdf_joint_region(G_ASYM, SLOTS_ASYM, PDF_A),
+        ((0.5632212275590722,), (0.419552566308334,),
+         (0.9223124896463404, 1.0589009334086912, 1.1570036675603235, 1.1583406816576793))),
+    "pdf_separate": (
+        lambda: pdf_separate_region(G_ASYM, SLOTS_ASYM, PDF_A),
+        ((0.5632212275590722,), (0.419552566308334,),
+         (0.9223124896463404, 0.9536337080093907, 1.095404810257399, 0.9914745989554544))),
+    "pdf_separate_weak_link": (
+        lambda: pdf_separate_region(G_WEAK, SLOTS_ASYM, PDF_A),
+        ((0.27030850934908107,), (0.419552566308334,),
+         (0.6293997714363493, 0.9221607991520051, 0.8024920920474079, 0.9600016900980688))),
+    "pdf_separate_literal_p1": (
+        lambda: pdf_separate_region(G_WEAK, SLOTS_ASYM, PDF_A, literal_p1=1.5),
+        ((0.27030850934908107,), (0.419552566308334,),
+         (0.6293997714363493, 0.9221607991520051, 0.8024920920474079, 0.9914745989554544))),
+    "pdf_partial": (
+        lambda: pdf_partial_user_region(G_ASYM, SLOTS_ASYM, PDF_A),
+        ((0.4264221812747029,), (0.3813367324667706,),
+         (0.7472976095204078, 1.0206850995671277, 1.0202046212759541, 1.1583406816576793))),
+    "df": (
+        lambda: df_region(G_ASYM, SLOTS_ASYM, DF_A),
+        ((0.7374316662692072,), (0.7653572533525417,),
+         (1.3545653166617408, 1.3762476396907408, 1.575261063416176, 1.3258611866991536))),
+    "outer": (
+        lambda: gaussian_outer_region(G_ASYM, SLOTS_ASYM, DF_A),
+        ((0.7688363013988734,), (0.8109684080739088,), (1.4315811065127741, 1.3258611866991536))),
+    "degraded": (
+        lambda: degraded_outer_region(G_ASYM, SLOTS_ASYM, DF_A, RHO),
+        ((0.7415724060997457,), (0.8330378422796645,), (1.4263866454194023, 1.3258611866991536))),
+    "pdf_joint_a1_zero": (
+        lambda: pdf_joint_region(G_ASYM, TimeSlots(0.0, 0.4, 0.6), PDF_A),
+        ((0.17728837240277978,), (0.7647132254785365,),
+         (0.8815402936602506, 1.237473100873818, 1.0374371711323374, 1.2581185486809099))),
+    "pdf_separate_a3_zero": (
+        lambda: pdf_separate_region(G_ASYM, TimeSlots(0.7, 0.3, 0.0), PDF_A),
+        ((1.0806119944376187,), (0.41419279100424283,),
+         (1.4948047854418616, 0.5858923366604134, 1.2770539103057372, 0.36814146152428895))),
+    "pdf_partial_a2_zero": (
+        lambda: pdf_partial_user_region(G_ASYM, TimeSlots(0.5, 0.0, 0.5), PDF_A),
+        ((0.646007928079496,), (0.17704680900517714,),
+         (0.7726703169004517, 0.9041903552447297, 1.0076434487163857, 1.0264539623398345))),
+    "df_a3_zero": (
+        lambda: df_region(G_ASYM, TimeSlots(0.6, 0.4, 0.0), DF_A),
+        ((1.213318235807536,), (0.6547031779404233,),
+         (1.8680214137479594, 1.2694617096271057, 1.7336575391037274, 1.135097834982874))),
+    "outer_a1_zero": (
+        lambda: gaussian_outer_region(G_ASYM, TimeSlots(0.0, 0.35, 0.65), DF_A),
+        ((0.25120593479518394,), (1.2424551668080168,), (1.3330855317298589, 1.4027634967911566))),
+    "degraded_a2_zero": (
+        lambda: degraded_outer_region(G_ASYM, TimeSlots(0.45, 0.0, 0.55), DF_A, RHO),
+        ((1.1300008764542386,), (0.4765232648228094,), (1.4706525052303738, 1.2627714118786182))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_region_values(case):
+    build, (r1, r2, sums) = GOLDEN[case]
+    region = build()
+    assert len(region.sum_bounds) == len(sums)
+    for got, want in zip(all_bounds(region), r1 + r2 + sums):
+        assert got == pytest.approx(want, abs=1e-13)
+
+
+_SCHEMES = ("PDF_JOINT", "PDF_SEPARATE", "PDF_PARTIAL", "DF", "OUTER", "DEGRADED")
+_unit = st.sampled_from((0.0, 1.0)) | st.floats(1e-3, 1.0)
+_power = st.sampled_from((0.0,)) | st.floats(1e-3, 5.0)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(scheme, gains, slots, allocation, rho) with some slots of zero length."""
+    scheme = draw(st.sampled_from(_SCHEMES))
+    g = ChannelGains(*(draw(st.floats(0.0, 3.0)) for _ in range(4)),
+                     noise=draw(st.floats(0.1, 4.0)))
+    a1 = draw(st.sampled_from((0.0, 1.0)) | st.floats(1e-3, 1.0))
+    slots = TimeSlots.from_first_two(a1, (1.0 - a1) * draw(_unit))
+    if scheme.startswith("PDF"):
+        alloc = PdfAllocation(*(draw(_power) for _ in range(6)),
+                              *(draw(_unit) for _ in range(4)))
+    else:
+        alloc = DfAllocation(*(draw(_power) for _ in range(6)))
+    rho = NoiseCorrelation(draw(st.floats(-0.95, 0.95)), draw(st.floats(-0.95, 0.95)))
+    return scheme, g, slots, alloc, rho
+
+
+def _kernel_run(scheme, g, slots, alloc, rho, ops, wrap):
+    """Evaluate the scheme's kernel directly; wrap(v) turns each input into
+    a float or an array."""
+    a = [wrap(v) for v in (slots.a1, slots.a2, slots.a3)]
+    if scheme.startswith("PDF"):
+        powers = (alloc.pu, alloc.p10, alloc.pv, alloc.p20, alloc.p13, alloc.p23,
+                  alloc.c2 * alloc.pu, alloc.c3 * alloc.pv, alloc.d2 * alloc.pv,
+                  alloc.d3 * alloc.pu)
+        return pdf_caps(scheme, pdf_gains(g), *a, [wrap(p) for p in powers], ops)
+    powers = (alloc.p12, alloc.p21, alloc.p13, alloc.p23, alloc.ps1, alloc.ps2)
+    return df_caps(scheme, df_gains(scheme, g, rho), *a, [wrap(p) for p in powers], ops)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_cases())
+def test_array_and_scalar_kernels_match_region_wrappers(case):
+    scheme, g, slots, alloc, rho = case
+    region = scheme_region(scheme, g, slots, alloc, rho=rho)
+    want = all_bounds(region)
+    r1, r2, sums = _kernel_run(scheme, g, slots, alloc, rho, SCALAR_OPS, float)
+    assert len(sums) == len(region.sum_bounds)
+    for got, ref in zip((r1, r2) + tuple(sums), want):
+        assert isinstance(got, float)
+        assert got == pytest.approx(ref, abs=1e-12)
+    r1, r2, sums = _kernel_run(scheme, g, slots, alloc, rho, ARRAY_OPS,
+                               lambda v: np.full(3, v))
+    for got, ref in zip((r1, r2) + tuple(sums), want):
+        assert got.shape == (3,)
+        assert np.all(np.abs(got - ref) <= 1e-12)

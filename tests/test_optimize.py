@@ -1,6 +1,10 @@
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdmac.core import (
     ChannelGains,
@@ -11,9 +15,11 @@ from hdmac.core import (
     c_gauss,
     polygon_from_constraints,
     power_feasible,
+    power_used,
 )
-from hdmac.gaussian import baseline_region, df_region
+from hdmac.gaussian import ARRAY_OPS, NoiseCorrelation, baseline_region, df_region
 from hdmac.optimize import (
+    SCHEMES,
     FrontierResult,
     OptResult,
     SearchConfig,
@@ -24,6 +30,8 @@ from hdmac.optimize import (
     scheme_region,
     upper_hull,
     weighted_best_vertex,
+    _evaluator,
+    _phase1_xs,
 )
 
 SYM = ChannelGains(2.0, 2.0, 1.0, 1.0, 1.0)
@@ -105,6 +113,109 @@ class TestRegionContains:
         ok, slack = region_contains(seg, RatePolygon(((0.5, 0.2),)), 1e-9)
         assert not ok
         assert slack == pytest.approx(-0.2, abs=1e-12)
+
+
+class TestSearchConfig:
+    @pytest.mark.parametrize("field, value", [("slot_grid", 3.5), ("power_grid", 2.5),
+                                              ("refine_iters", 1.5)])
+    def test_non_integer_grid_sizes_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            SearchConfig(**{field: value})
+
+
+_unit = st.sampled_from((0.0, 1.0)) | st.floats(1e-3, 1.0)
+
+
+@st.composite
+def _search_points(draw):
+    """(scheme, gains, budget, rho, x) with x in the search's unit cube and
+    some slots of zero length."""
+    scheme = draw(st.sampled_from(SCHEMES))
+    g = ChannelGains(*(draw(st.floats(0.0, 3.0)) for _ in range(4)),
+                     noise=draw(st.floats(0.1, 4.0)))
+    budget = PowerBudget(draw(st.floats(0.1, 5.0)), draw(st.floats(0.1, 5.0)))
+    rho = NoiseCorrelation(draw(st.floats(-0.95, 0.95)), draw(st.floats(-0.95, 0.95)))
+    a1 = draw(_unit)
+    a2 = (1.0 - a1) * draw(_unit)
+    dim = 4 if scheme in ("DF", "OUTER", "DEGRADED") else 8
+    return scheme, g, budget, rho, (a1, a2, *(draw(_unit) for _ in range(dim)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_search_points())
+def test_search_caps_match_scheme_region(case):
+    scheme, g, budget, rho, x = case
+    caps, alloc_of, _ = _evaluator(scheme, g, budget, rho)
+    slots, alloc = alloc_of(x)
+    region = scheme_region(scheme, g, slots, alloc, rho=rho)
+    want = (region.min_r1, region.min_r2, region.min_sum)
+    got = caps(x)
+    for v, ref in zip(got, want):
+        assert v == pytest.approx(ref, abs=1e-12)
+    # the power identity: a user spends its whole budget unless neither its
+    # own slot nor slot 3 has any length
+    used = power_used("PDF" if scheme.startswith("PDF") else "DF", slots, alloc)
+    for u, total, own in zip(used, (budget.p1, budget.p2), (slots.a1, slots.a2)):
+        assert u == pytest.approx(total if own > 0.0 or slots.a3 > 0.0 else 0.0, rel=1e-9)
+    # the same point as one column of the phase-1 array evaluation
+    column = caps([np.full(2, v) for v in x], ARRAY_OPS)
+    for v, ref in zip(column, got):
+        assert np.all(np.abs(v - ref) <= 1e-12)
+
+
+def _phase1_points_by_loop(scheme, dim, cfg):
+    """Reference scan points, built one at a time in scan order."""
+    steps = [math.sqrt(p) % 1.0 for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)]
+    base = [((cfg.seed + 1) * math.sqrt(41 + d)) % 1.0 for d in range(dim)]
+    lattice = [tuple((base[d] + j * steps[d]) % 1.0 for d in range(dim))
+               for j in range(1, cfg.power_grid ** 2 + 1)]
+    levels = (0.0, 0.5, 1.0)
+    if dim == 4:
+        anchors = [(g1, h1, g2, h2) for g1 in levels for h1 in levels
+                   for g2 in levels for h2 in levels]
+    else:
+        anchors = [(gv, 1.0, ta, tb1, gv, 1.0, ta, tb2)
+                   for gv in (0.0, 0.25, 0.5, 0.75, 1.0) for ta in levels
+                   for tb1 in levels for tb2 in levels]
+        anchors += [(gv, sv, ta, 0.5, gv, sv, ta, 0.5)
+                    for gv in levels for sv in (0.0, 0.5) for ta in levels]
+    vals = [i / (cfg.slot_grid - 1) for i in range(cfg.slot_grid)]
+    return [(a1, min(a2, 1.0 - a1)) + q for a1 in vals for a2 in vals
+            if a1 + a2 <= 1.0 + 1e-12 for q in lattice + anchors]
+
+
+@pytest.mark.parametrize("scheme, dim", [("DF", 4), ("PDF_JOINT", 8)])
+@pytest.mark.parametrize("cfg", [SearchConfig(), FAST,
+                                 SearchConfig(slot_grid=21, power_grid=15, seed=101)])
+def test_phase1_points_match_loop_reference(scheme, dim, cfg):
+    want = np.array(_phase1_points_by_loop(scheme, dim, cfg))
+    assert np.array_equal(_phase1_xs(scheme, dim, cfg), want.T)
+
+
+# (gains, budget, scheme, mu, seed, value, evaluations) recorded with the
+# per-point Python phase-1 scan that the array scan replaced: the same scan
+# points must start the local search.  refine_iters=0 leaves the scan and
+# the polish, so any change in start selection shows in the value or count.
+SKEWED = ChannelGains(3.0, 1.5, 1.0, 0.5, 1.0)
+SKEWED_BUDGET = PowerBudget(1.0, 4.0)
+PINNED_SCANS = [
+    (SYM, BUDGET, "PDF_JOINT", (0.8, 0.6), 0, 0.9760415913246833, 88408),
+    (SYM, BUDGET, "PDF_JOINT", (0.8, 0.6), 7, 0.9761422834505771, 88408),
+    (SYM, BUDGET, "DF", (0.6, 0.8), 0, 0.9755309352333243, 71344),
+    (SYM, BUDGET, "DF", (0.6, 0.8), 7, 0.9755606772178235, 71344),
+    (SKEWED, SKEWED_BUDGET, "PDF_JOINT", (0.8, 0.6), 0, 0.7599821957038988, 88287),
+    (SKEWED, SKEWED_BUDGET, "PDF_JOINT", (0.8, 0.6), 7, 0.7599821957038988, 88287),
+    (SKEWED, SKEWED_BUDGET, "DF", (0.6, 0.8), 0, 0.7578441091491755, 71344),
+    (SKEWED, SKEWED_BUDGET, "DF", (0.6, 0.8), 7, 0.7595146067617513, 71344),
+]
+
+
+@pytest.mark.parametrize("g, budget, scheme, mu, seed, value, evaluations", PINNED_SCANS)
+def test_phase1_start_selection_is_pinned(g, budget, scheme, mu, seed, value, evaluations):
+    cfg = SearchConfig(slot_grid=21, power_grid=15, refine_iters=0, seed=seed)
+    res = optimize_scheme(g, budget, scheme, mu, cfg)
+    assert res.value == value
+    assert res.evaluations == evaluations
 
 
 class TestOptimizeScheme:

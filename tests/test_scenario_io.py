@@ -105,6 +105,15 @@ class TestParsing:
             parse_scenario("name: x\ngains: {k12: 1, k21: 1, k10: 1, k20: 1, noise: 1}\n")
         assert "budget" in str(err.value)
 
+    @pytest.mark.parametrize("field", ["slot_grid", "power_grid", "refine_iters"])
+    def test_non_integer_search_size_rejected(self, field):
+        doc = MINIMAL + f"search: {{{field}: 11.7}}\n"
+        with pytest.raises(ScenarioError, match=field):
+            parse_scenario(doc)
+
+    def test_integral_float_search_size_accepted(self):
+        assert parse_scenario(MINIMAL + "search: {slot_grid: 7.0}\n").search.slot_grid == 7
+
     def test_dmc_section(self):
         sc = parse_scenario(DMC_DOC)
         assert sc.dmc is not None
