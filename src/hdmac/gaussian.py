@@ -7,16 +7,20 @@ its outer bounds (DF, OUTER, DEGRADED, which differ only in the effective
 inter-user gains built by ``df_gains`` and in whether the two middle sum caps
 are dropped).  A kernel maps slot fractions and per-slot powers to
 (R1 cap, R2 cap, sum caps).  It uses only arithmetic operators plus three
-primitives passed in as ``ops = (term, sqrt, min)``, where
-``term(alpha, num, noise)`` is alpha * C(num / noise) and ``min`` takes two
-arguments, so the same source runs on Python floats and on numpy arrays:
+primitives passed in as ``ops = (term, gmean, min)``, where
+``term(alpha, num, noise)`` is alpha * C(num / noise), ``gmean(x, y)`` is
+sqrt(x * y) and ``min`` takes two arguments, so the same source runs on
+Python floats, on numpy arrays and on dual numbers:
 
 - ``CHECKED_OPS`` validate their arguments; the ``*_region`` functions use
   them and return a LinearRegion (one R1 cap, one R2 cap, the sum caps in the
   scheme's order);
 - ``SCALAR_OPS`` are the unchecked float primitives of the optimizer's local
   search;
-- ``ARRAY_OPS`` evaluate arrays of points elementwise in one call.
+- ``ARRAY_OPS`` evaluate arrays of points elementwise in one call;
+- ``DUAL_OPS`` carry gradients through ``df_caps`` for the optimizer's
+  concave solve, on dual numbers held as numpy vectors [value, gradient]
+  (``min`` is not needed there).
 
 A slot of zero length contributes exactly zero regardless of the allocation,
 so boundary slot splits are safe.
@@ -65,12 +69,14 @@ class NoiseCorrelation:
                 raise ValidationError(f"NoiseCorrelation.{name} must lie in [-1, 1], got {v!r}")
 
 
-def _sqrt(x: float) -> float:
-    if x < 0.0:
-        if x < _SQRT_CLAMP:
-            raise ValidationError(f"sqrt argument {x!r} below round-off clamp")
+def _gmean(x: float, y: float) -> float:
+    """sqrt(x * y), validating the product against the round-off clamp."""
+    p = x * y
+    if p < 0.0:
+        if p < _SQRT_CLAMP:
+            raise ValidationError(f"sqrt argument {p!r} below round-off clamp")
         return 0.0
-    return math.sqrt(x)
+    return math.sqrt(p)
 
 
 def _term(alpha: float, power_term: float, noise: float) -> float:
@@ -101,9 +107,47 @@ def _min(a: float, b: float) -> float:
     return a if a < b else b
 
 
-CHECKED_OPS = (_term, _sqrt, _min)
-SCALAR_OPS = (_scalar_term, math.sqrt, _min)
-ARRAY_OPS = (_array_term, np.sqrt, np.minimum)
+def _scalar_gmean(x: float, y: float) -> float:
+    return math.sqrt(x * y)
+
+
+def _array_gmean(x, y):
+    return np.sqrt(x * y)
+
+
+# Dual numbers are numpy vectors [value, d/dz_1, ..., d/dz_n].  df_caps only
+# adds them and scales them by floats, which numpy does componentwise, so
+# only its two primitives need the chain rule; it never multiplies two of
+# them.
+
+def _dual_term(alpha, num, noise: float):
+    # alpha[0] must be > 0: a caller that differentiates floors its slots
+    x = num[0] / noise
+    c = 0.5 * math.log1p(x) / _LN2
+    out = alpha * c + num * (0.5 * alpha[0] / ((1.0 + x) * noise * _LN2))
+    out[0] = alpha[0] * c
+    return out
+
+
+_GMEAN_FLOOR = 1e-18  # floor on each factor in the slope of sqrt(x * y)
+
+
+def _dual_gmean(x, y):
+    # sqrt(x y) is concave with slope 0.5 * (sqrt(y/x), sqrt(x/y)), which is
+    # unbounded where a factor is 0; the product rule through sqrt(x * y)
+    # would give (0, 0) where both are.  With each factor floored the slope
+    # stays finite, and at the origin it is (0.5, 0.5), a supergradient
+    # there since sqrt(dx dy) <= (dx + dy) / 2.
+    r = math.sqrt(max(x[0], _GMEAN_FLOOR) / max(y[0], _GMEAN_FLOOR))
+    out = x * (0.5 / r) + y * (0.5 * r)
+    out[0] = math.sqrt(x[0] * y[0])
+    return out
+
+
+CHECKED_OPS = (_term, _gmean, _min)
+SCALAR_OPS = (_scalar_term, _scalar_gmean, _min)
+ARRAY_OPS = (_array_term, _array_gmean, np.minimum)
+DUAL_OPS = (_dual_term, _dual_gmean, None)  # df_caps takes no min
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +169,7 @@ def pdf_caps(scheme: str, gains, a1, a2, a3, powers, ops, literal_p1=None):
     partner's (ad3).  PDF_SEPARATE takes ``literal_p1`` as described in
     pdf_separate_region.
     """
-    term, sqrt, mn = ops
+    term, gmean, mn = ops
     k12s, k21s, k10, k20, n = gains
     pu, p10, pv, p20, p13, p23, ac2, ac3, ad2, ad3 = powers
     k10s = k10 * k10
@@ -152,8 +196,8 @@ def pdf_caps(scheme: str, gains, a1, a2, a3, powers, ops, literal_p1=None):
     if literal_p1 is not None:
         u1_last = mn(term(a1, k12s * literal_p1, n), term(a1, k10s * p10, n))
     priv = k10s * p13 + k20s * p23
-    coh_u = k10s * ac2 + k20s * ad3 + 2.0 * k10 * k20 * sqrt(ac2 * ad3)
-    coh_v = k10s * ac3 + k20s * ad2 + 2.0 * k10 * k20 * sqrt(ac3 * ad2)
+    coh_u = k10s * ac2 + k20s * ad3 + 2.0 * k10 * k20 * gmean(ac2, ad3)
+    coh_v = k10s * ac3 + k20s * ad2 + 2.0 * k10 * k20 * gmean(ac3, ad2)
     r1 = t12 + term(a3, k10s * p13, n)
     r2 = t21 + term(a3, k20s * p23, n)
     s1 = t12 + t21 + term(a3, priv, n)
@@ -235,7 +279,7 @@ def df_caps(scheme: str, gains, a1, a2, a3, powers, ops):
     The sums are (s1, s2, s3, s4) for DF; the outer bounds drop the two
     middle sum caps, which are redundant there, and return (s1, s4).
     """
-    term, sqrt, _ = ops
+    term, gmean, _ = ops
     e12, e21, k10, k20, n = gains
     p12, p21, p13, p23, ps1, ps2 = powers
     k10s = k10 * k10
@@ -245,7 +289,7 @@ def df_caps(scheme: str, gains, a1, a2, a3, powers, ops):
     t10 = term(a1, k10s * p12, n)
     t20 = term(a2, k20s * p21, n)
     priv = k10s * p13 + k20s * p23
-    c_coh = term(a3, priv + k10s * ps1 + k20s * ps2 + 2.0 * k10 * k20 * sqrt(ps1 * ps2), n)
+    c_coh = term(a3, priv + k10s * ps1 + k20s * ps2 + 2.0 * k10 * k20 * gmean(ps1, ps2), n)
     r1 = t12 + term(a3, k10s * p13, n)
     r2 = t21 + term(a3, k20s * p23, n)
     s1 = t12 + t21 + term(a3, priv, n)

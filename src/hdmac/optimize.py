@@ -1,15 +1,34 @@
 """Weighted sum-rate maximization over slot splits and power allocations.
 
-The search is derivative-free and deterministic.  Phase 1 scans a slot grid
-crossed with a rank-1 lattice sample and structured anchor points of each
-scheme's allocation simplex (every scanned point satisfies the per-user power
-identity by construction).  The whole scan is one array: the unit-cube
-parameterization and the scheme family's cap kernel from gaussian.py run on
-numpy arrays, and the LP value of every point is taken at once; ``frontier``
-reuses the table across its directions.  The best points of distinct slot
-cells then get cyclic pattern refinement with multiplicative step shrink,
-finished by a simplex polish that can walk the ridges where several sum caps
-tie; both run the same kernel on Python floats.
+There are two paths, chosen by the scheme.
+
+DF, OUTER and DEGRADED are concave programs in slot-energy variables (slot
+fractions and energy = fraction x power), so each weight direction is
+solved by SLSQP on the epigraph form, with gradients carried through the
+``df_caps`` kernel of gaussian.py on dual numbers.  The solution is rebuilt
+as TimeSlots and a DfAllocation that spend both budgets, re-evaluated
+through ``scheme_region`` and ``weighted_best_vertex``, and checked with
+``power_feasible``.  A second solve restarts from that point with a tighter
+tolerance, turned toward R2 where the weight on R2 is too small for SLSQP to
+find the tie rule's corner, and is kept if it scores higher.  The search
+below runs instead when the first solve reports failure, a rebuilt point
+misses the budget, or a warm start beats the solution by more than 1e-9.
+``OptResult.evaluations`` then counts kernel evaluations: the gradient
+evaluations of the solves, the re-evaluations of their points and one per
+warm start.
+
+The superposition schemes (PDF_JOINT, PDF_SEPARATE, PDF_PARTIAL) use a
+deterministic derivative-free search, whose ``evaluations`` counts cap
+evaluations.  Phase 1 scans a slot grid crossed with a rank-1 lattice sample
+and structured anchor points of each scheme's allocation simplex (every
+scanned point satisfies the per-user power identity by construction).  The
+whole scan is one array: the unit-cube parameterization and the scheme
+family's cap kernel from gaussian.py run on numpy arrays, and the LP value
+of every point is taken at once; ``frontier`` reuses the table across its
+directions.  The best points of distinct slot cells then get cyclic pattern
+refinement with multiplicative step shrink, finished by a simplex polish
+that can walk the ridges where several sum caps tie; both run the same
+kernel on Python floats.
 
 Directions with mu2 > mu1 are solved on the user-swapped problem and
 mirrored back, so symmetric scenarios give exactly symmetric results.
@@ -20,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -37,9 +56,11 @@ from .core import (
     _check,
     convex_hull_ccw,
     polygon_from_constraints,
+    power_feasible,
 )
 from .gaussian import (
     ARRAY_OPS,
+    DUAL_OPS,
     SCALAR_OPS,
     NoiseCorrelation,
     df_caps,
@@ -65,7 +86,11 @@ _MIN_STEP = 1e-10
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs of the two-phase search; defaults are desk-scale."""
+    """Knobs of the two-phase search; defaults are desk-scale.
+
+    They drive only the search: the superposition schemes, and the
+    decode-forward family when its concave solve falls back to the search.
+    """
 
     slot_grid: int = 11
     power_grid: int = 9
@@ -540,6 +565,219 @@ def _swap_slots(slots: TimeSlots) -> TimeSlots:
     return TimeSlots(slots.a2, slots.a1, slots.a3)
 
 
+# ---------------------------------------------------------------------------
+# concave path (DF, OUTER, DEGRADED)
+#
+# In slot-energy variables z = (a1, a2, E12, E21, E13, E23, ES1, ES2, t1, t2),
+# a3 = 1 - a1 - a2 and every energy the slot fraction times the power, each
+# cap is a perspective a*C(k^2 E / (a N)) of a concave function and the
+# coherent numerator is concave, so every cap is jointly concave.  For
+# mu1 >= mu2 the weighted-sum value is
+#     (mu1 - mu2) * min(m1, ms) + mu2 * min(ms, m1 + m2),
+# which the epigraph rows t1 <= m1, t1 <= each sum cap, t2 <= each sum cap
+# and t2 <= m1 + m2 turn into a linear objective over a convex set.
+# ---------------------------------------------------------------------------
+
+_SLOT_FLOOR = 1e-12     # d(a C(x/a))/da is unbounded as a -> 0
+_BASIS = np.eye(9)[1:]  # dual vectors of the coordinates, values 0
+_SLSQP_OPTIONS = {"ftol": 1e-12, "maxiter": 300}
+_POLISH_OPTIONS = {"ftol": 1e-15, "maxiter": 300}  # for restarts from a solution
+_SNAP = 1e-6            # rebuilt points are also tried with shorter slots emptied
+_TIE_TURN = 1e-3        # smallest weight on t2 that SLSQP resolves
+
+
+def _dual_caps(scheme: str, gains, z):
+    """df_caps at z on dual vectors [value, d/d(a1, a2, E12, E21, E13, E23,
+    ES1, ES2)], with powers p = E / a and every slot floored at _SLOT_FLOOR."""
+    a1 = _BASIS[0].copy()
+    a2 = _BASIS[1].copy()
+    a3 = -_BASIS[0] - _BASIS[1]
+    a1[0] = max(z[0], _SLOT_FLOOR)
+    a2[0] = max(z[1], _SLOT_FLOOR)
+    a3[0] = max(1.0 - z[0] - z[1], _SLOT_FLOOR)
+
+    def power(i, a):
+        p = max(z[i], 0.0) / a[0]
+        out = (_BASIS[i] - p * a) / a[0]
+        out[0] = p
+        return out
+
+    powers = (power(2, a1), power(3, a2), power(4, a3), power(5, a3), power(6, a3),
+              power(7, a3))
+    return df_caps(scheme, gains, a1, a2, a3, powers, DUAL_OPS)
+
+
+def _epigraph_rows(scheme: str, gains, budget: PowerBudget, scale: float):
+    """(rows, jac, count): the constraint rows (all >= 0) of the epigraph form
+    and their Jacobian, with the caps and t measured in units of ``scale``.
+    Both come from one kernel evaluation per point, and count[0] is the
+    number of evaluations."""
+    n_sums = 4 if scheme == "DF" else 2
+    jac = np.zeros((5 + 2 * n_sums, 10))
+    jac[0, [2, 4, 6]] = -1.0        # user 1's energy
+    jac[1, [3, 5, 7]] = -1.0        # user 2's energy
+    jac[2, [0, 1]] = -1.0           # a1 + a2 <= 1
+    jac[3:4 + n_sums, 8] = -1.0     # t1 rows: m1, the sum caps
+    jac[4 + n_sums:, 9] = -1.0      # t2 rows: the sum caps, m1 + m2
+    last = {}
+    count = [0]
+
+    def evaluate(z):
+        key = z.tobytes()
+        if key not in last:
+            m1, m2, sums = _dual_caps(scheme, gains, z)
+            caps = np.array((m1, *sums, *sums, m1 + m2)) / scale
+            rows = np.concatenate(((budget.p1 - z[2] - z[4] - z[6],
+                                    budget.p2 - z[3] - z[5] - z[7],
+                                    1.0 - z[0] - z[1]), caps[:, 0]))
+            rows[3:4 + n_sums] -= z[8]
+            rows[4 + n_sums:] -= z[9]
+            jac[3:, :8] = caps[:, 1:]
+            last.clear()
+            last[key] = rows, jac.copy()
+            count[0] += 1
+        return last[key]
+
+    return (lambda z: evaluate(z)[0]), (lambda z: evaluate(z)[1]), count
+
+
+def _rebuild(z, budget: PowerBudget, shortest: float):
+    """TimeSlots and DfAllocation of a solver point that spend each user's
+    whole budget, as the search's parameterization does.
+
+    Slots are clamped into the simplex, and slots shorter than ``shortest``
+    are emptied.  Energy is clamped at 0 and scaled onto a budget it
+    overshoots; energy left unspent or parked in an empty slot goes to the
+    user's slot-3 private symbol, or to its own slot when slot 3 is empty,
+    which lowers no cap.
+    """
+    a1, a2 = (v if v >= shortest else 0.0 for v in (float(z[0]), float(z[1])))
+    a1 = min(a1, 1.0)
+    a2 = min(a2, 1.0 - a1)
+    if 1.0 - a1 - a2 < shortest:
+        a2 = 1.0 - a1
+    slots = TimeSlots.from_first_two(a1, a2)
+    e = [max(float(v), 0.0) for v in z[2:8]]
+    if e[4] == 0.0 or e[5] == 0.0:
+        e[2:] = e[2] + e[4], e[3] + e[5], 0.0, 0.0
+    for user, own, total in ((0, slots.a1, budget.p1), (1, slots.a2, budget.p2)):
+        if own == 0.0:
+            e[user] = 0.0
+        if slots.a3 == 0.0:
+            e[user + 2] = e[user + 4] = 0.0
+        spent = e[user] + e[user + 2] + e[user + 4]
+        if spent > total:
+            for i in (user, user + 2, user + 4):
+                e[i] *= total / spent
+        elif slots.a3 > 0.0:
+            e[user + 2] += total - spent
+        elif own > 0.0:
+            e[user] += total - spent
+    lengths = (slots.a1, slots.a2, slots.a3, slots.a3, slots.a3, slots.a3)
+    return slots, DfAllocation(*(v / a if a > 0.0 else 0.0 for v, a in zip(e, lengths)))
+
+
+def _solve_concave(g: ChannelGains, budget: PowerBudget, scheme: str, mu1: float,
+                   mu2: float, rho: Optional[NoiseCorrelation],
+                   extra_starts: Sequence) -> Optional[OptResult]:
+    """SLSQP solves of the epigraph form for mu1 >= mu2.
+
+    Returns None, so that the search runs instead, when the first solve
+    reports failure, a rebuilt point misses the power budget, or a warm
+    start beats the solution by more than 1e-9.
+    """
+    from scipy.optimize import minimize as _scipy_minimize
+
+    gains = df_gains(scheme, g, rho)
+    p_1, p_2 = budget.p1, budget.p2
+    # _score's objective and tie rule as weights on (t1, t2), negated
+    primary = np.array([-(mu1 - mu2), -mu2])
+    tie = np.array([-(mu2 - mu1), -mu1])
+
+    def tight(caps):
+        # the largest feasible (t1, t2) under caps (m1, m2, min sum cap)
+        m1, m2, ms = caps
+        return np.array([min(m1, ms), min(ms, m1 + m2)])
+
+    # SLSQP's stopping rules are absolute, so rates are measured in units of
+    # the objective's value at the start
+    z0 = np.array([1 / 3, 1 / 3, p_1 / 3, p_2 / 3, p_1 / 6, p_2 / 6, p_1 / 6, p_2 / 6,
+                   0.0, 0.0])
+    caps0 = _dual_caps(scheme, gains, z0)
+    t0 = tight((caps0[0][0], caps0[1][0], min(c[0] for c in caps0[2])))
+    scale = max(-float(primary @ t0), 1e-12)
+    z0[8:] = t0 / scale
+    rows, jac, count = _epigraph_rows(scheme, gains, budget, scale)
+    count[0] += 1
+    bounds = [(0.0, 1.0), (0.0, 1.0)] + [(0.0, p_1), (0.0, p_2)] * 3 + [(None, None)] * 2
+
+    def solve(weights, z, options):
+        w = np.zeros(10)
+        w[8:] = weights
+        return _scipy_minimize(lambda z: float(w @ z), z, jac=lambda z: w,
+                               method="SLSQP", bounds=bounds,
+                               constraints={"type": "ineq", "fun": rows, "jac": jac},
+                               options=options)
+
+    def candidate(z):
+        # the rebuilt point, and the same with slots shorter than _SNAP
+        # emptied: SLSQP can leave a slot just above 0 that wastes energy
+        best = None
+        for shortest in (_SLOT_FLOOR, _SNAP):
+            slots, alloc = _rebuild(z, budget, shortest)
+            if not power_feasible("DF", slots, alloc, budget)[2]:
+                return None
+            region = scheme_region(scheme, g, slots, alloc, rho)
+            vertex, value = weighted_best_vertex(polygon_from_constraints(region),
+                                                 (mu1, mu2))
+            caps = (region.min_r1, region.min_r2, region.min_sum)
+            score = _score(caps, mu1, mu2)
+            if best is None or score > best[0]:
+                best = score, slots, alloc, vertex, value, caps
+        return best
+
+    sol = solve(primary + _TIE_EPS * tie, z0, _SLSQP_OPTIONS)
+    best = candidate(sol.x) if sol.success else None
+    if best is None:
+        return None
+    # SLSQP can stop early where the objective is flat, so a second solve
+    # restarts from the rebuilt solution with a tighter tolerance.  Where
+    # mu2 is too small for SLSQP to resolve, a third one turns the direction
+    # to weight _TIE_TURN on t2: that direction's optimum is the tie rule's
+    # corner of the optimal face wherever the frontier beyond it is less
+    # steep than 1 / _TIE_TURN.  Each point is kept if it scores higher,
+    # whatever SLSQP reports.
+    restarts = [primary + _TIE_EPS * tie]
+    if mu2 < _TIE_TURN * mu1:
+        restarts.append(np.array([-(1.0 - _TIE_TURN), -_TIE_TURN]) * mu1)
+    for weights in restarts:
+        _, slots, alloc, _, _, caps = best
+        a = (slots.a1, slots.a2, slots.a3, slots.a3, slots.a3, slots.a3)
+        z = np.array([slots.a1, slots.a2, *(ai * v for ai, v in zip(a, astuple(alloc))),
+                      *(tight(caps) / scale)])
+        again = candidate(solve(weights, z, _POLISH_OPTIONS).x)
+        if again is None:
+            return None
+        best = max(best, again, key=lambda c: c[0])
+    evals = count[0] + 2 * (1 + len(restarts))
+    score = best[0]
+
+    caps_fn, alloc_fn, _ = _evaluator(scheme, g, budget, rho)
+    for s_slots, s_alloc in extra_starts:
+        x = _x_from_alloc(scheme, s_slots, s_alloc, budget)
+        caps = caps_fn(x)
+        evals += 1
+        v = _score(caps, mu1, mu2)
+        if v > score + 1e-9:
+            return None
+        if v > best[0]:
+            _, r1, r2 = _value(caps, mu1, mu2)
+            best = (v, *alloc_fn(x), (r1, r2), mu1 * r1 + mu2 * r2, caps)
+    _, slots, alloc, vertex, value, _ = best
+    return OptResult(scheme=scheme, mu=(mu1, mu2), slots=slots, allocation=alloc,
+                     vertex=vertex, value=value, evaluations=evals)
+
+
 def optimize_scheme(g: ChannelGains, budget: PowerBudget, scheme: str,
                     mu: Tuple[float, float], cfg: SearchConfig,
                     rho: Optional[NoiseCorrelation] = None,
@@ -547,8 +785,11 @@ def optimize_scheme(g: ChannelGains, budget: PowerBudget, scheme: str,
                     _cache: Optional[Dict] = None) -> OptResult:
     """Maximize mu1*R1 + mu2*R2 for one scheme.
 
-    extra_starts is an optional sequence of (TimeSlots, allocation) warm
-    starts that are evaluated and refined alongside the grid's best points.
+    DF, OUTER and DEGRADED are solved as one concave program; the search
+    runs for the superposition schemes and whenever the concave solve fails
+    its checks (see the module docstring).  extra_starts is an optional
+    sequence of (TimeSlots, allocation) warm starts that are evaluated
+    alongside the solution, and refined by the search.
     """
     mu1, mu2 = float(mu[0]), float(mu[1])
     _check(mu1 >= 0.0 and mu2 >= 0.0 and (mu1 > 0.0 or mu2 > 0.0),
@@ -569,6 +810,18 @@ def optimize_scheme(g: ChannelGains, budget: PowerBudget, scheme: str,
                          vertex=(res.vertex[1], res.vertex[0]),
                          value=res.value, evaluations=res.evaluations)
 
+    if scheme in _DF_SCHEMES:
+        res = _solve_concave(g, budget, scheme, mu1, mu2, rho, extra_starts)
+        if res is not None:
+            return res
+    return _search(g, budget, scheme, mu1, mu2, cfg, rho, extra_starts, _cache)
+
+
+def _search(g: ChannelGains, budget: PowerBudget, scheme: str, mu1: float, mu2: float,
+            cfg: SearchConfig, rho: Optional[NoiseCorrelation], extra_starts: Sequence,
+            _cache: Dict) -> OptResult:
+    """The derivative-free search: phase-1 scan, pattern refinement and the
+    simplex polish of the best distinct-cell starts and the best warm start."""
     caps_fn, alloc_fn, dim = _evaluator(scheme, g, budget, rho)
     rho_key = None if rho is None else (rho.rho1, rho.rho2)
     key = (g.k12, g.k21, g.k10, g.k20, g.noise, budget.p1, budget.p2, scheme, rho_key,
@@ -627,6 +880,8 @@ def frontier(g: ChannelGains, budget: PowerBudget, scheme: str, weight_count: in
              extra_starts: Sequence = ()) -> FrontierResult:
     """Trace the weighted-sum frontier over angularly spaced weight directions
     mu = (cos t, sin t), t in [0, pi/2], and hull the best vertices."""
+    _check(isinstance(weight_count, numbers.Integral) and not isinstance(weight_count, bool),
+           f"weight_count must be an integer, got {weight_count!r}")
     _check(weight_count >= 3, "weight_count must be >= 3")
     cache: Dict = {}
     results = []

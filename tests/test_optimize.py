@@ -1,5 +1,7 @@
 import math
 import random
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,16 @@ from hdmac.core import (
     power_feasible,
     power_used,
 )
-from hdmac.gaussian import ARRAY_OPS, NoiseCorrelation, baseline_region, df_region
+from hdmac import optimize
+from hdmac.gaussian import (
+    ARRAY_OPS,
+    SCALAR_OPS,
+    NoiseCorrelation,
+    baseline_region,
+    df_caps,
+    df_gains,
+    df_region,
+)
 from hdmac.optimize import (
     SCHEMES,
     FrontierResult,
@@ -30,8 +41,10 @@ from hdmac.optimize import (
     scheme_region,
     upper_hull,
     weighted_best_vertex,
+    _dual_caps,
     _evaluator,
     _phase1_xs,
+    _search,
 )
 
 SYM = ChannelGains(2.0, 2.0, 1.0, 1.0, 1.0)
@@ -196,6 +209,8 @@ def test_phase1_points_match_loop_reference(scheme, dim, cfg):
 # per-point Python phase-1 scan that the array scan replaced: the same scan
 # points must start the local search.  refine_iters=0 leaves the scan and
 # the polish, so any change in start selection shows in the value or count.
+# DF is solved by the concave path, which runs no scan: its rows keep the
+# searched value as a floor, and its result must not depend on the scan seed.
 SKEWED = ChannelGains(3.0, 1.5, 1.0, 0.5, 1.0)
 SKEWED_BUDGET = PowerBudget(1.0, 4.0)
 PINNED_SCANS = [
@@ -214,8 +229,12 @@ PINNED_SCANS = [
 def test_phase1_start_selection_is_pinned(g, budget, scheme, mu, seed, value, evaluations):
     cfg = SearchConfig(slot_grid=21, power_grid=15, refine_iters=0, seed=seed)
     res = optimize_scheme(g, budget, scheme, mu, cfg)
-    assert res.value == value
-    assert res.evaluations == evaluations
+    if scheme == "DF":
+        assert res.value >= value - 1e-12
+        assert res == optimize_scheme(g, budget, scheme, mu, replace(cfg, seed=0))
+    else:
+        assert res.value == value
+        assert res.evaluations == evaluations
 
 
 class TestOptimizeScheme:
@@ -279,6 +298,92 @@ class TestOptimizeScheme:
         assert seeded.value >= base.value - 1e-12
 
 
+SMALL = SearchConfig(slot_grid=5, power_grid=4, refine_iters=10)
+
+
+@st.composite
+def _concave_cases(draw):
+    """(scheme, gains, budget, rho, mu); DEGRADED only where both inter-user
+    links beat the direct ones, at rho = (K10/K12, K20/K21)."""
+    scheme = draw(st.sampled_from(("DF", "OUTER", "DEGRADED")))
+    k10, k20 = draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0))
+    if scheme == "DEGRADED":
+        k12 = k10 + draw(st.floats(0.05, 2.0))
+        k21 = k20 + draw(st.floats(0.05, 2.0))
+        rho = NoiseCorrelation(k10 / k12, k20 / k21)
+    else:
+        k12, k21 = draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0))
+        rho = None
+    g = ChannelGains(k12, k21, k10, k20, noise=draw(st.floats(0.1, 4.0)))
+    budget = PowerBudget(draw(st.floats(0.1, 5.0)), draw(st.floats(0.1, 5.0)))
+    theta = draw(st.sampled_from((0.0, 0.25 * math.pi, 0.5 * math.pi))
+                 | st.floats(0.0, 0.5 * math.pi))
+    return scheme, g, budget, rho, (math.cos(theta), math.sin(theta))
+
+
+class TestConcavePath:
+    @settings(max_examples=40, deadline=None)
+    @given(_concave_cases())
+    def test_solution_is_feasible_exact_and_beats_search(self, case):
+        scheme, g, budget, rho, mu = case
+        res = optimize_scheme(g, budget, scheme, mu, SMALL, rho=rho)
+        assert power_feasible("DF", res.slots, res.allocation, budget)[2]
+        region = scheme_region(scheme, g, res.slots, res.allocation, rho=rho)
+        _, best = weighted_best_vertex(polygon_from_constraints(region), mu)
+        assert res.value == pytest.approx(best, abs=1e-9)
+        with mock.patch.object(optimize, "_solve_concave", lambda *args: None):
+            searched = optimize_scheme(g, budget, scheme, mu, SMALL, rho=rho)
+        # SLSQP can stop up to ~2e-7 (relative) short where R1 barely depends
+        # on user 2's allocation, at axis directions of OUTER and DEGRADED
+        assert res.value >= searched.value * (1.0 - 1e-6) - 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(_concave_cases(), st.lists(st.floats(0.05, 0.95), min_size=8, max_size=8))
+    def test_dual_gradients_match_finite_differences(self, case, u):
+        scheme, g, budget, rho, _ = case
+        gains = df_gains(scheme, g, rho)
+        z = np.array([0.45 * u[0], 0.45 * u[1],
+                      *(v * p / 3 for v, p in zip(u[2:], (budget.p1, budget.p2) * 3))])
+
+        def caps(z):
+            a = (z[0], z[1], 1.0 - z[0] - z[1])
+            powers = [e / a[min(i, 2)] for i, e in enumerate(z[2:])]
+            m1, m2, sums = df_caps(scheme, gains, *a, powers, SCALAR_OPS)
+            return np.array((m1, m2, *sums))
+
+        m1, m2, sums = _dual_caps(scheme, gains, z)
+        dual = np.array((m1, m2, *sums))
+        assert np.allclose(dual[:, 0], caps(z), rtol=1e-12, atol=1e-14)
+        h = 1e-6
+        for i in range(8):
+            step = np.zeros(8)
+            step[i] = h
+            fd = (caps(z + step) - caps(z - step)) / (2 * h)
+            assert np.allclose(dual[:, 1 + i], fd, rtol=1e-6, atol=1e-7)
+
+    def test_outer_witness_reaches_known_point(self):
+        # a feasible point with value 0.919068754 is known for this direction
+        mu = (math.cos(0.3), math.sin(0.3))
+        res = optimize_scheme(ChannelGains(0.5, 0.5, 1.0, 1.0, 1.0), PowerBudget(2.0, 3.0),
+                              "OUTER", mu, SearchConfig())
+        assert res.value >= 0.919068754 - 1e-9
+
+    def test_failed_solve_falls_back_to_search(self, monkeypatch):
+        import scipy.optimize
+
+        minimize = scipy.optimize.minimize
+
+        def failing(*args, **kwargs):
+            sol = minimize(*args, **kwargs)
+            if kwargs.get("method") == "SLSQP":
+                sol.success = False
+            return sol
+
+        monkeypatch.setattr(scipy.optimize, "minimize", failing)
+        res = optimize_scheme(SYM, BUDGET, "OUTER", (0.8, 0.6), FAST)
+        assert res == _search(SYM, BUDGET, "OUTER", 0.8, 0.6, FAST, None, (), {})
+
+
 class TestFrontier:
     def test_mac_special_case_hull(self):
         g = ChannelGains(0.0, 0.0, 1.0, 1.0, 1.0)
@@ -304,6 +409,11 @@ class TestFrontier:
     def test_weight_count_validated(self):
         with pytest.raises(ValidationError):
             frontier(SYM, BUDGET, "DF", 2, FAST)
+
+    @pytest.mark.parametrize("count", [3.0, 3.5, True])
+    def test_non_integer_weight_count_rejected(self, count):
+        with pytest.raises(ValidationError, match="weight_count"):
+            frontier(SYM, BUDGET, "DF", count, FAST)
 
     def test_points_ordered_by_theta(self):
         fr = frontier(SYM, BUDGET, "DF", 5, FAST)
