@@ -274,7 +274,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p = sub.add_parser(cmd)
         p.add_argument("--scenario", required=True, help="scenario YAML file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the search seed")
+        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         p.add_argument("--weights", type=int, default=DEFAULT_WEIGHTS,
                        help="weight directions for frontier-style commands")
     args = parser.parse_args(argv)

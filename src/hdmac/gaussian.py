@@ -6,21 +6,19 @@ kernel per scheme family: ``pdf_caps`` for the superposition schemes
 its outer bounds (DF, OUTER, DEGRADED, which differ only in the effective
 inter-user gains built by ``df_gains`` and in whether the two middle sum caps
 are dropped).  A kernel maps slot fractions and per-slot powers to
-(R1 cap, R2 cap, sum caps).  It uses only arithmetic operators plus three
-primitives passed in as ``ops = (term, gmean, min)``, where
-``term(alpha, num, noise)`` is alpha * C(num / noise), ``gmean(x, y)`` is
-sqrt(x * y) and ``min`` takes two arguments, so the same source runs on
-Python floats, on numpy arrays and on dual numbers:
+(R1 cap, R2 cap, sum caps).  It uses only addition, subtraction, scaling by
+constants and three primitives passed in as ``ops = (term, gmean, min)``,
+where ``term(alpha, num, noise)`` is alpha * C(num / noise), ``gmean(x, y)``
+is sqrt(x * y) and ``min`` takes two arguments, so the same source runs on
+Python floats and on dual numbers:
 
 - ``CHECKED_OPS`` validate their arguments; the ``*_region`` functions use
   them and return a LinearRegion (one R1 cap, one R2 cap, the sum caps in the
   scheme's order);
-- ``SCALAR_OPS`` are the unchecked float primitives of the optimizer's local
-  search;
-- ``ARRAY_OPS`` evaluate arrays of points elementwise in one call;
-- ``DUAL_OPS`` carry gradients through ``df_caps`` for the optimizer's
-  concave solve, on dual numbers held as numpy vectors [value, gradient]
-  (``min`` is not needed there).
+- ``dual_term`` carries gradients for the optimizer's concave solves, which
+  pass their own coherent-energy variables in place of ``gmean`` and need
+  no ``min``: the kernels take one only for PDF_SEPARATE's ``literal_p1``
+  variant, which the optimizer never passes.
 
 A slot of zero length contributes exactly zero regardless of the allocation,
 so boundary slot splits are safe.
@@ -35,8 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import (
     ChannelGains,
@@ -90,38 +86,13 @@ def _term(alpha: float, power_term: float, noise: float) -> float:
     return alpha * c_gauss(power_term / noise)
 
 
-def _scalar_term(alpha: float, num: float, noise: float) -> float:
-    """Unchecked alpha * C(num/noise), exactly 0 for a zero-length slot."""
-    return 0.5 * alpha * math.log1p(num / noise) / _LN2 if alpha > 0.0 else 0.0
+def dual_term(alpha, num, noise: float):
+    """term on dual numbers: numpy vectors [value, d/dz_1, ..., d/dz_n].
 
-
-def _array_term(alpha, num, noise):
-    # alpha * C(.) of a finite SNR is already 0 where alpha == 0.  np.log1p
-    # may differ from math.log1p in the last place, so array results match
-    # the float path to rounding, not bit for bit.
-    return 0.5 * alpha * np.log1p(num / noise) / _LN2
-
-
-def _min(a: float, b: float) -> float:
-    # cheaper than builtins.min for two floats
-    return a if a < b else b
-
-
-def _scalar_gmean(x: float, y: float) -> float:
-    return math.sqrt(x * y)
-
-
-def _array_gmean(x, y):
-    return np.sqrt(x * y)
-
-
-# Dual numbers are numpy vectors [value, d/dz_1, ..., d/dz_n].  df_caps only
-# adds them and scales them by floats, which numpy does componentwise, so
-# only its two primitives need the chain rule; it never multiplies two of
-# them.
-
-def _dual_term(alpha, num, noise: float):
-    # alpha[0] must be > 0: a caller that differentiates floors its slots
+    The kernels only add and subtract duals and scale them by floats, which
+    numpy does componentwise, so only the primitives need the chain rule.
+    alpha[0] must be > 0: a caller that differentiates floors its slots.
+    """
     x = num[0] / noise
     c = 0.5 * math.log1p(x) / _LN2
     out = alpha * c + num * (0.5 * alpha[0] / ((1.0 + x) * noise * _LN2))
@@ -129,25 +100,7 @@ def _dual_term(alpha, num, noise: float):
     return out
 
 
-_GMEAN_FLOOR = 1e-18  # floor on each factor in the slope of sqrt(x * y)
-
-
-def _dual_gmean(x, y):
-    # sqrt(x y) is concave with slope 0.5 * (sqrt(y/x), sqrt(x/y)), which is
-    # unbounded where a factor is 0; the product rule through sqrt(x * y)
-    # would give (0, 0) where both are.  With each factor floored the slope
-    # stays finite, and at the origin it is (0.5, 0.5), a supergradient
-    # there since sqrt(dx dy) <= (dx + dy) / 2.
-    r = math.sqrt(max(x[0], _GMEAN_FLOOR) / max(y[0], _GMEAN_FLOOR))
-    out = x * (0.5 / r) + y * (0.5 * r)
-    out[0] = math.sqrt(x[0] * y[0])
-    return out
-
-
-CHECKED_OPS = (_term, _gmean, _min)
-SCALAR_OPS = (_scalar_term, _scalar_gmean, _min)
-ARRAY_OPS = (_array_term, _array_gmean, np.minimum)
-DUAL_OPS = (_dual_term, _dual_gmean, None)  # df_caps takes no min
+CHECKED_OPS = (_term, _gmean, min)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +112,7 @@ def pdf_gains(g: ChannelGains):
     return g.k12 ** 2, g.k21 ** 2, g.k10, g.k20, g.noise
 
 
-def pdf_caps(scheme: str, gains, a1, a2, a3, powers, ops, literal_p1=None):
+def pdf_caps(scheme: str, gains, a1, a2, a3, powers, ops, literal_p1=None, minus=None):
     """Caps (r1, r2, (s1, s2, s3, s4)) of a superposition scheme.
 
     ``gains`` come from pdf_gains.  ``powers`` are
@@ -167,7 +120,9 @@ def pdf_caps(scheme: str, gains, a1, a2, a3, powers, ops, literal_p1=None):
     are the slot-3 powers re-spent on the public symbols: user 1 on its own
     (ac2) and on the partner's (ac3), user 2 on its own (ad2) and on the
     partner's (ad3).  PDF_SEPARATE takes ``literal_p1`` as described in
-    pdf_separate_region.
+    pdf_separate_region.  PDF_PARTIAL subtracts term(a1, K12^2 p10) and
+    term(a2, K21^2 p20); ``minus`` replaces that pair, which is how the
+    optimizer's convex-concave procedure passes their linearizations.
     """
     term, gmean, mn = ops
     k12s, k21s, k10, k20, n = gains
@@ -176,19 +131,21 @@ def pdf_caps(scheme: str, gains, a1, a2, a3, powers, ops, literal_p1=None):
     k20s = k20 * k20
     su1 = pu + p10
     su2 = pv + p20
+    t12 = term(a1, k12s * su1, n)
+    t21 = term(a2, k21s * su2, n)
     if scheme == "PDF_PARTIAL":
         # the partner decodes only the public part, against the private
-        # interference; the destination decodes the private part
-        t12 = term(a1, k12s * pu * n / (k12s * p10 + n), n) + term(a1, k10s * p10, n)
-        t21 = term(a2, k21s * pv * n / (k21s * p20 + n), n) + term(a2, k20s * p20, n)
-    else:
-        t12 = term(a1, k12s * su1, n)
-        t21 = term(a2, k21s * su2, n)
+        # interference, C(K12^2 pu / (K12^2 p10 + N)) = C(K12^2 su1 / N) -
+        # C(K12^2 p10 / N); the destination decodes the private part
+        if minus is None:
+            minus = term(a1, k12s * p10, n), term(a2, k21s * p20, n)
+        t12 = t12 - minus[0] + term(a1, k10s * p10, n)
+        t21 = t21 - minus[1] + term(a2, k20s * p20, n)
     if scheme == "PDF_SEPARATE":
         # slot-by-slot decoding: the conditioned slot-1/2 terms keep only
-        # the private power
-        u1 = mn(term(a1, k12s * p10, n), term(a1, k10s * p10, n))
-        u2 = mn(term(a2, k21s * p20, n), term(a2, k20s * p20, n))
+        # the private power, decoded over the weaker of the two links
+        u1 = term(a1, min(k12s, k10s) * p10, n)
+        u2 = term(a2, min(k21s, k20s) * p20, n)
     else:
         u1 = term(a1, k10s * su1, n)
         u2 = term(a2, k20s * su2, n)
@@ -239,7 +196,8 @@ def pdf_partial_user_region(g: ChannelGains, slots: TimeSlots, a: PdfAllocation)
     The inter-user terms decompose into the public part decoded against the
     private interference plus the private part decoded by the destination:
         C(K12^2 (PU+P10)/N) -> C(K12^2 PU / (K12^2 P10 + N)) + C(K10^2 P10 / N)
-    and symmetrically for user 2.
+    and symmetrically for user 2.  The first term is evaluated as
+    C(K12^2 (PU+P10)/N) - C(K12^2 P10/N), its equal in exact arithmetic.
     """
     return _pdf_region("PDF_PARTIAL", g, slots, a)
 

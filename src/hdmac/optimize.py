@@ -1,46 +1,61 @@
 """Weighted sum-rate maximization over slot splits and power allocations.
 
-There are two paths, chosen by the scheme.
+Every scheme is solved on one path.  In slot-energy variables (the slot
+fractions a1, a2 and, for every power, its slot fraction times the power)
+each cap is a sum of perspectives a * C(k^2 E / (a N)) of concave functions.
+A coherent pair of slot-3 energies (x, y) enters through sqrt(x y), which
+gets a variable W of its own under the rotated-cone row x y - W^2 >= 0, so
+every numerator is linear in the variables, the cone is convex and no
+gradient blows up where x or y is 0.  The caps of DF, OUTER, DEGRADED,
+PDF_JOINT and PDF_SEPARATE are then jointly concave, and with rate
+variables R = (R1, R2) a weight direction is the concave program
 
-DF, OUTER and DEGRADED are concave programs in slot-energy variables (slot
-fractions and energy = fraction x power), so each weight direction is
-solved by SLSQP on the epigraph form, with gradients carried through the
-``df_caps`` kernel of gaussian.py on dual numbers.  The solution is rebuilt
-as TimeSlots and a DfAllocation that spend both budgets, re-evaluated
-through ``scheme_region`` and ``weighted_best_vertex``, and checked with
-``power_feasible``.  A second solve restarts from that point with a tighter
-tolerance, turned toward R2 where the weight on R2 is too small for SLSQP to
-find the tie rule's corner, and is kept if it scores higher.  The search
-below runs instead when the first solve reports failure, a rebuilt point
-misses the budget, or a warm start beats the solution by more than 1e-9.
-``OptResult.evaluations`` then counts kernel evaluations: the gradient
-evaluations of the solves, the re-evaluations of their points and one per
-warm start.
+    maximize mu1 R1 + mu2 R2  subject to  R1 <= m1, R2 <= m2,
+    R1 + R2 <= every sum cap, the two power budgets, a1 + a2 <= 1
+    and the cone rows,
 
-The superposition schemes (PDF_JOINT, PDF_SEPARATE, PDF_PARTIAL) use a
-deterministic derivative-free search, whose ``evaluations`` counts cap
-evaluations.  Phase 1 scans a slot grid crossed with a rank-1 lattice sample
-and structured anchor points of each scheme's allocation simplex (every
-scanned point satisfies the per-user power identity by construction).  The
-whole scan is one array: the unit-cube parameterization and the scheme
-family's cap kernel from gaussian.py run on numpy arrays, and the LP value
-of every point is taken at once; ``frontier`` reuses the table across its
-directions.  The best points of distinct slot cells then get cyclic pattern
-refinement with multiplicative step shrink, finished by a simplex polish
-that can walk the ridges where several sum caps tie; both run the same
-kernel on Python floats.
+which SLSQP solves with values and gradients from the scheme family's kernel
+in gaussian.py (``df_caps`` or ``pdf_caps``) run on dual numbers.
 
-Directions with mu2 > mu1 are solved on the user-swapped problem and
-mirrored back, so symmetric scenarios give exactly symmetric results.
+- Every solver point is rebuilt as TimeSlots and an allocation that spend
+  both budgets, re-evaluated through ``scheme_region`` and
+  ``weighted_best_vertex`` and checked with ``power_feasible``; these
+  rebuilt candidates are what the path compares and returns.
+- Starts: DF, OUTER and DEGRADED start from a fixed interior point, PDF_JOINT
+  from the DF solution (the best of its coherent energy split evenly between
+  U and V, all on U and all on V), PDF_SEPARATE and PDF_PARTIAL from the
+  PDF_JOINT solution.  Every
+  ``extra_starts`` entry is one more start.  A solve that reports failure is
+  restarted from its rebuilt point while that point gains.
+- The best candidate is re-solved from itself with a tighter tolerance
+  until the value gains less than 1e-12 (relative).  Where mu2 is too small for SLSQP to resolve, one more solve turns the
+  direction slightly toward R2, which finds the corner the tie rule of
+  ``weighted_best_vertex`` reports (largest R1, then largest R2).
+- A slot that is empty where a solve starts keeps no energy during that
+  solve: at an empty slot a * C(k E / a) has no gradient.
+- PDF_PARTIAL is a difference of concave functions: its inter-user terms
+  subtract C(K12^2 P10 / N) and the mirror term.  It is solved by the
+  convex-concave procedure: each re-solve linearizes the subtracted terms at
+  the current point, which makes the program concave and its value a lower
+  bound that is tight at that point, so no round loses.  The rounds start on
+  the P10 = P20 = 0 face, where the scheme coincides with PDF_JOINT.
+
+``OptResult.evaluations`` counts kernel evaluations: one per solver point
+and one per rebuilt point or linearization, including those of the DF and
+PDF_JOINT solves a superposition scheme starts from.
+
+Weights are divided by max(mu1, mu2) once, so the result does not depend on
+their scale, and directions with mu2 > mu1 are solved on the user-swapped
+problem and mirrored back, so symmetric scenarios give exactly symmetric
+results.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import astuple, dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,19 +69,18 @@ from .core import (
     TimeSlots,
     ValidationError,
     _check,
+    c_gauss,
     convex_hull_ccw,
     polygon_from_constraints,
     power_feasible,
 )
 from .gaussian import (
-    ARRAY_OPS,
-    DUAL_OPS,
-    SCALAR_OPS,
     NoiseCorrelation,
     df_caps,
     df_gains,
     df_region,
     degraded_outer_region,
+    dual_term,
     gaussian_outer_region,
     pdf_joint_region,
     pdf_partial_user_region,
@@ -79,17 +93,16 @@ SCHEMES = ("PDF_JOINT", "PDF_SEPARATE", "PDF_PARTIAL", "DF", "OUTER", "DEGRADED"
 _PDF_SCHEMES = ("PDF_JOINT", "PDF_SEPARATE", "PDF_PARTIAL")
 _DF_SCHEMES = ("DF", "OUTER", "DEGRADED")
 
-_N_STARTS = 3          # grid points fed into local refinement
-_STEP0 = 0.25          # initial refinement step on every unit coordinate
-_MIN_STEP = 1e-10
-
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs of the two-phase search; defaults are desk-scale.
+    """Optimizer settings as a scenario's ``search:`` block spells them.
 
-    They drive only the search: the superposition schemes, and the
-    decode-forward family when its concave solve falls back to the search.
+    Only ``seed`` has an effect: it seeds the random sampling of the verify
+    claims and is written to the ``# seed:`` header of the CLI outputs.  The
+    optimizer has no knobs; ``slot_grid``, ``power_grid``, ``refine_iters``
+    and ``refine_shrink`` are still validated, so that older scenario files
+    keep parsing, but nothing reads them.
     """
 
     slot_grid: int = 11
@@ -99,7 +112,7 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("slot_grid", "power_grid", "refine_iters"):
+        for name in ("slot_grid", "power_grid", "refine_iters", "seed"):
             v = getattr(self, name)
             _check(isinstance(v, numbers.Integral) and not isinstance(v, bool),
                    f"SearchConfig.{name} must be an integer, got {v!r}")
@@ -133,11 +146,17 @@ class FrontierResult:
 # polygon utilities
 # ---------------------------------------------------------------------------
 
+def _check_weights(mu1: float, mu2: float) -> None:
+    _check(math.isfinite(mu1) and math.isfinite(mu2),
+           f"weights must be finite, got {(mu1, mu2)!r}")
+    _check(mu1 >= 0.0 and mu2 >= 0.0 and (mu1 > 0.0 or mu2 > 0.0),
+           "weights must be >= 0 and not both zero")
+
+
 def weighted_best_vertex(poly: RatePolygon, mu: Tuple[float, float]):
     """Polygon vertex maximizing mu1*r1 + mu2*r2; ties go to larger r1, then r2."""
     mu1, mu2 = float(mu[0]), float(mu[1])
-    _check(mu1 >= 0.0 and mu2 >= 0.0 and (mu1 > 0.0 or mu2 > 0.0),
-           "weights must be >= 0 and not both zero")
+    _check_weights(mu1, mu2)
     _check(len(poly.vertices) > 0, "empty polygon")
     best = max(poly.vertices, key=lambda v: (mu1 * v[0] + mu2 * v[1], v[0], v[1]))
     return best, mu1 * best[0] + mu2 * best[1]
@@ -155,7 +174,7 @@ def upper_hull(points: Sequence[Tuple[float, float]]) -> RatePolygon:
     return RatePolygon(convex_hull_ccw(closure))
 
 
-def _point_slack(vertices, p) -> float:
+def point_slack(vertices, p) -> float:
     """Signed distance of p to the polygon boundary; positive means inside."""
     px, py = p
     if len(vertices) == 1:
@@ -190,7 +209,7 @@ def region_contains(outer: RatePolygon, inner: RatePolygon, tol: float):
     """
     worst = math.inf
     for p in inner.vertices:
-        worst = min(worst, _point_slack(outer.vertices, p))
+        worst = min(worst, point_slack(outer.vertices, p))
     return worst >= -tol, worst
 
 
@@ -215,11 +234,11 @@ def scheme_region(scheme: str, g: ChannelGains, slots: TimeSlots,
 
 
 # ---------------------------------------------------------------------------
-# feasible parameterizations (unit cube -> slot fractions and powers)
+# random feasible allocations (unit cube -> slot fractions and powers)
 #
-# Written without branches so that they run on floats and on numpy arrays
-# alike: a comparison acts as a 0/1 mask, and the denominator of an empty
-# slot is replaced by 1 before the mask zeroes the quotient.
+# Written without branches: a comparison acts as a 0/1 mask, and the
+# denominator of an empty slot is replaced by 1 before the mask zeroes the
+# quotient.
 # ---------------------------------------------------------------------------
 
 def _shares(a1, a2, g1, g2, p_1: float, p_2: float):
@@ -276,275 +295,42 @@ def _pdf_split(x, p_1: float, p_2: float):
                 ac2 * u_on, ac3 * v_on, ad2 * v_on, ad3 * u_on)
 
 
-def _evaluator(scheme: str, g: ChannelGains, budget: PowerBudget,
-               rho: Optional[NoiseCorrelation]):
-    """Build (caps, alloc_of, dim) for a scheme.
-
-    caps(x) maps a parameter vector x = (a1, a2, params...) in the unit cube
-    to the region caps (m1, m2, min_sum) through the scheme's kernel in
-    gaussian.py; caps(x, ARRAY_OPS) does the same for a sequence of
-    coordinate arrays, one point per element.  Every x meets the per-user
-    power identity by construction.  alloc_of(x) rebuilds the domain objects.
-    """
-    p_1, p_2 = budget.p1, budget.p2
-    if scheme in _DF_SCHEMES:
-        split, kernel, gains, dim = _df_split, df_caps, df_gains(scheme, g, rho), 4
-    elif scheme in _PDF_SCHEMES:
-        split, kernel, gains, dim = _pdf_split, pdf_caps, pdf_gains(g), 8
-    else:
-        raise ValidationError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-
-    def caps(x, ops=SCALAR_OPS):
-        a3, powers = split(x, p_1, p_2)
-        m1, m2, sums = kernel(scheme, gains, x[0], x[1], a3, powers, ops)
-        mn = ops[2]
-        least = mn(sums[0], sums[1])
-        if len(sums) == 4:
-            least = mn(least, mn(sums[2], sums[3]))
-        return m1, m2, least
-
-    def alloc_of(x):
-        powers = split(x, p_1, p_2)[1]
-        slots = TimeSlots.from_first_two(x[0], x[1])
-        if split is _df_split:
-            return slots, DfAllocation(*powers)
-        pu, p10, pv, p20, p13, p23, ac2, ac3, ad2, ad3 = powers
-        c2 = ac2 / pu if pu > 0.0 else 0.0
-        c3 = ac3 / pv if pv > 0.0 else 0.0
-        d2 = ad2 / pv if pv > 0.0 else 0.0
-        d3 = ad3 / pu if pu > 0.0 else 0.0
-        return slots, PdfAllocation(p10, p20, pu, pv, p13, p23, c2, c3, d2, d3)
-
-    return caps, alloc_of, dim
+def _pdf_allocation(powers) -> PdfAllocation:
+    """PdfAllocation of pdf_caps powers (pu, p10, pv, p20, p13, p23, ac2, ac3, ad2, ad3)."""
+    pu, p10, pv, p20, p13, p23, ac2, ac3, ad2, ad3 = powers
+    c2 = ac2 / pu if pu > 0.0 else 0.0
+    c3 = ac3 / pv if pv > 0.0 else 0.0
+    d2 = ad2 / pv if pv > 0.0 else 0.0
+    d3 = ad3 / pu if pu > 0.0 else 0.0
+    return PdfAllocation(p10, p20, pu, pv, p13, p23, c2, c3, d2, d3)
 
 
-# ---------------------------------------------------------------------------
-# search machinery
-# ---------------------------------------------------------------------------
-
-_IRRATIONALS = tuple(math.sqrt(p) % 1.0 for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29))
-
-
-def _lattice(count: int, dim: int, seed: int):
-    """Deterministic low-discrepancy points in the unit cube, one per row."""
-    base = np.array([((seed + 1) * math.sqrt(41 + d)) % 1.0 for d in range(dim)])
-    steps = np.array([_IRRATIONALS[d % len(_IRRATIONALS)] for d in range(dim)])
-    return (base + np.arange(1, count + 1)[:, None] * steps) % 1.0
-
-
-def _anchors(scheme: str):
-    """Structured allocation corners worth probing in every slot cell, one per row."""
-    levels = (0.0, 0.5, 1.0)
-    if scheme in _DF_SCHEMES:
-        return np.array(list(itertools.product(levels, repeat=4)))
-    # superposition family: favor the no-slot-1-private face (s = 1) with
-    # symmetric slot shares and a few coherent-split patterns
-    out = [(gv, 1.0, ta, tb1, gv, 1.0, ta, tb2) for gv, ta, tb1, tb2
-           in itertools.product((0.0, 0.25, 0.5, 0.75, 1.0), levels, levels, levels)]
-    out += [(gv, sv, ta, 0.5, gv, sv, ta, 0.5) for gv, sv, ta
-            in itertools.product(levels, (0.0, 0.5), levels)]
-    return np.array(out)
-
-
-def _value(caps, mu1: float, mu2: float, ops=SCALAR_OPS):
-    """Exact LP maximum of mu1*r1 + mu2*r2 over the capped region (greedy
-    fill); with ARRAY_OPS it applies elementwise to arrays of caps."""
-    mn = ops[2]
-    m1, m2, ms = caps
-    if mu1 >= mu2:
-        r1 = mn(m1, ms)
-        r2 = mn(m2, ms - r1)
-    else:
-        r2 = mn(m2, ms)
-        r1 = mn(m1, ms - r2)
-    return mu1 * r1 + mu2 * r2, r1, r2
-
-
-_TIE_EPS = 1e-9
-
-
-def _score(caps, mu1: float, mu2: float, ops=SCALAR_OPS):
-    """Search score: the objective plus an epsilon preference for the
-    complementary-weighted vertex, so axis directions still pick allocations
-    whose polygon reaches the full corner instead of an equal-value axis
-    point."""
-    v, r1, r2 = _value(caps, mu1, mu2, ops)
-    return v + _TIE_EPS * (mu2 * r1 + mu1 * r2)
-
-
-def _phase1_xs(scheme: str, dim: int, cfg: SearchConfig):
-    """Phase-1 scan points as a (2 + dim, n) array, one point per column:
-    every cell of the slot grid crossed with the lattice, then the anchors."""
-    vals = np.arange(cfg.slot_grid) / (cfg.slot_grid - 1)
-    a1, a2 = (v.ravel() for v in np.meshgrid(vals, vals, indexing="ij"))
-    keep = a1 + a2 <= 1.0 + 1e-12
-    a1 = a1[keep]
-    a2 = np.minimum(a2[keep], 1.0 - a1)
-    q = np.vstack((_lattice(cfg.power_grid ** 2, dim, cfg.seed), _anchors(scheme)))
-    return np.vstack((np.repeat(a1, len(q)), np.repeat(a2, len(q)), np.tile(q.T, len(a1))))
-
-
-def _clamp_move(x, moves):
-    """Apply (coordinate, delta) moves with box and slot-simplex clamping."""
-    y = list(x)
-    for d, delta in moves:
-        if d == 0:
-            lo, hi = 0.0, 1.0 - y[1]
-        elif d == 1:
-            lo, hi = 0.0, 1.0 - y[0]
-        else:
-            lo, hi = 0.0, 1.0
-        y[d] = min(hi, max(lo, y[d] + delta))
-    return y
-
-
-def _move_set(ndim: int):
-    """Single-coordinate probes plus paired probes along the slot pair and the
-    same-role coordinates of the two users (min-type sum caps form ridges that
-    single-coordinate moves cannot follow)."""
-    singles = [((d, +1),) for d in range(ndim)] + [((d, -1),) for d in range(ndim)]
-    pairs = [(0, 1)]
-    half = (ndim - 2) // 2
-    pairs += [(2 + k, 2 + half + k) for k in range(half)]
-    paired = []
-    for a, b in pairs:
-        for sa in (+1, -1):
-            for sb in (+1, -1):
-                paired.append(((a, sa), (b, sb)))
-    return singles + paired
-
-
-def _refine(caps_fn, x0, v0, mu1, mu2, cfg: SearchConfig):
-    x = list(x0)
-    best = v0
-    step = _STEP0
-    evals = 0
-    moves = _move_set(len(x))
-    for _ in range(cfg.refine_iters):
-        improved = False
-        for mv in moves:
-            cand = _clamp_move(x, [(d, s * step) for d, s in mv])
-            if cand == x:
-                continue
-            v = _score(caps_fn(tuple(cand)), mu1, mu2)
-            evals += 1
-            if v > best + 1e-15:
-                best = v
-                x = cand
-                improved = True
-        if not improved:
-            step *= cfg.refine_shrink
-            if step < _MIN_STEP:
-                break
-    return tuple(x), best, evals
-
-
-def _project(x) -> list:
-    """Clamp to the unit box and the slot simplex; returns the feasible point."""
-    y = [min(1.0, max(0.0, v)) for v in x]
-    s = y[0] + y[1]
-    if s > 1.0:
-        y[0] /= s
-        y[1] /= s
-    return y
-
-
-def _nm_polish(caps_fn, x0, v0, mu1, mu2, cfg: SearchConfig):
-    """Simplex (Nelder-Mead) polish with restarts.
-
-    The step-based pattern phase stalls on the ridges where several sum caps
-    are simultaneously active; the adaptive simplex walks them.  Points
-    outside the feasible box are projected with a linear penalty.  The
-    evaluation budget scales with cfg.refine_iters.
-    """
-    from scipy.optimize import minimize as _scipy_minimize
-
-    counter = [0]
-
-    def neg(raw):
-        counter[0] += 1
-        raw = raw.tolist()  # float math is much cheaper than numpy-scalar math
-        pen = 0.0
-        for v in raw:
-            if v < 0.0:
-                pen += -v
-            elif v > 1.0:
-                pen += v - 1.0
-        s = raw[0] + raw[1]
-        if s > 1.0:
-            pen += s - 1.0
-        return -_score(caps_fn(tuple(_project(raw))), mu1, mu2) + pen
-
-    x = list(x0)
-    best = v0
-    maxfev = 12 * len(x) * (cfg.refine_iters + 1)
-    for _ in range(3):
-        res = _scipy_minimize(neg, x, method="Nelder-Mead",
-                              options={"xatol": 1e-10, "fatol": 1e-12,
-                                       "maxfev": maxfev})
-        cand = [float(v) for v in _project(res.x)]
-        v = _score(caps_fn(tuple(cand)), mu1, mu2)
-        counter[0] += 1
-        if v > best + 1e-11:
-            best = v
-            x = cand
-        else:
-            if v > best:
-                best, x = v, cand
-            break
-    return tuple(x), best, counter[0]
-
-
-def _x_from_alloc(scheme: str, slots: TimeSlots, alloc, budget: PowerBudget):
-    """Inverse of the feasible parameterization (clamped), for warm starts."""
-    a1, a2 = slots.a1, slots.a2
-
-    def clamp(v):
-        return min(1.0, max(0.0, v))
-
-    if scheme in _DF_SCHEMES:
-        g1 = clamp(a1 * alloc.p12 / budget.p1)
-        g2 = clamp(a2 * alloc.p21 / budget.p2)
-        t1 = alloc.p13 + alloc.ps1
-        t2 = alloc.p23 + alloc.ps2
-        h1 = clamp(alloc.p13 / t1) if t1 > 0.0 else 1.0
-        h2 = clamp(alloc.p23 / t2) if t2 > 0.0 else 1.0
-        return (a1, a2, g1, h1, g2, h2)
-    g1 = clamp(a1 * (alloc.p10 + alloc.pu) / budget.p1)
-    g2 = clamp(a2 * (alloc.p20 + alloc.pv) / budget.p2)
-    su1 = alloc.pu + alloc.p10
-    su2 = alloc.pv + alloc.p20
-    s1 = clamp(alloc.pu / su1) if su1 > 0.0 else 1.0
-    s2 = clamp(alloc.pv / su2) if su2 > 0.0 else 1.0
-    ac2, ac3 = alloc.c2 * alloc.pu, alloc.c3 * alloc.pv
-    ad2, ad3 = alloc.d2 * alloc.pv, alloc.d3 * alloc.pu
-    b1 = alloc.p13 + ac2 + ac3
-    b2 = alloc.p23 + ad2 + ad3
-    ta1 = clamp(alloc.p13 / b1) if b1 > 0.0 else 1.0
-    ta2 = clamp(alloc.p23 / b2) if b2 > 0.0 else 1.0
-    r1 = ac2 + ac3
-    r2 = ad2 + ad3
-    tb1 = clamp(ac2 / r1) if r1 > 0.0 else 0.5
-    tb2 = clamp(ad2 / r2) if r2 > 0.0 else 0.5
-    return (a1, a2, g1, s1, ta1, tb1, g2, s2, ta2, tb2)
+def _unit_cube_allocation(pdf: bool, x, budget: PowerBudget):
+    """(TimeSlots, allocation) of a unit-cube point x = (a1, a2, shares...),
+    which spends each user's whole budget unless neither its own slot nor
+    slot 3 has any length."""
+    slots = TimeSlots.from_first_two(x[0], x[1])
+    if pdf:
+        return slots, _pdf_allocation(_pdf_split(x, budget.p1, budget.p2)[1])
+    return slots, DfAllocation(*_df_split(x, budget.p1, budget.p2)[1])
 
 
 def sample_allocation(scheme: str, g: ChannelGains, budget: PowerBudget, rng,
                       interior: bool = False):
-    """Random feasible (TimeSlots, allocation), uniform over the search
+    """Random feasible (TimeSlots, allocation), uniform over a unit-cube
     parameterization; rng is a random.Random.  With interior=True the slot
     fractions and public/private splits are kept away from the boundary so
     every power component is strictly positive."""
     _check(scheme in SCHEMES, f"unknown scheme {scheme!r}")
-    _, alloc_fn, dim = _evaluator(scheme if scheme != "DEGRADED" else "DF", g, budget, None)
+    pdf = scheme in _PDF_SCHEMES
     u, v = sorted((rng.random(), rng.random()))
     a1, a2 = u, v - u
-    params = [rng.random() for _ in range(dim)]
+    params = [rng.random() for _ in range(8 if pdf else 4)]
     if interior:
         a1 = 0.1 + 0.5 * a1
         a2 = 0.1 + 0.5 * a2
         params = [0.1 + 0.8 * p for p in params]
-    return alloc_fn((a1, a2, *params))
+    return _unit_cube_allocation(pdf, (a1, a2, *params), budget)
 
 
 def _swap_gains(g: ChannelGains) -> ChannelGains:
@@ -566,90 +352,102 @@ def _swap_slots(slots: TimeSlots) -> TimeSlots:
 
 
 # ---------------------------------------------------------------------------
-# concave path (DF, OUTER, DEGRADED)
+# the concave programs
 #
-# In slot-energy variables z = (a1, a2, E12, E21, E13, E23, ES1, ES2, t1, t2),
-# a3 = 1 - a1 - a2 and every energy the slot fraction times the power, each
-# cap is a perspective a*C(k^2 E / (a N)) of a concave function and the
-# coherent numerator is concave, so every cap is jointly concave.  For
-# mu1 >= mu2 the weighted-sum value is
-#     (mu1 - mu2) * min(m1, ms) + mu2 * min(ms, m1 + m2),
-# which the epigraph rows t1 <= m1, t1 <= each sum cap, t2 <= each sum cap
-# and t2 <= m1 + m2 turn into a linear objective over a convex set.
+# A solver point is z = (a1, a2, energies..., R1, R2) with a3 = 1 - a1 - a2,
+# every energy its slot's fraction times a power and the rates measured in
+# units of the solver's scale.
 # ---------------------------------------------------------------------------
 
 _SLOT_FLOOR = 1e-12     # d(a C(x/a))/da is unbounded as a -> 0
-_BASIS = np.eye(9)[1:]  # dual vectors of the coordinates, values 0
-_SLSQP_OPTIONS = {"ftol": 1e-12, "maxiter": 300}
-_POLISH_OPTIONS = {"ftol": 1e-15, "maxiter": 300}  # for restarts from a solution
+# SLSQP's first steps are as long as the objective's gradient, and its
+# stopping rule is absolute, so the objective mu . R (rates in units of the
+# solver's scale) is multiplied by a step factor: larger from the fixed
+# interior start, smaller from a point near a solution.  Each kind of solve
+# is (step factor, relative ftol).
+_COLD = (0.1, 1e-12)
+_WARM = (0.01, 1e-12)
+_POLISH = (0.01, 1e-15)
+_MAXITER = 100
 _SNAP = 1e-6            # rebuilt points are also tried with shorter slots emptied
-_TIE_TURN = 1e-3        # smallest weight on t2 that SLSQP resolves
+_TIE_EPS = 1e-9         # weight of the tie rule when candidates are compared
+_TIE_TURN = 1e-3        # smallest weight on R2 that SLSQP resolves
+_RESTARTS = 2           # re-solves from the rebuilt point of a failed solve
+_ROUNDS = 20            # most re-solves of the best candidate
+_GAIN = 1e-12           # the rounds stop when the value gains less (relative)
+_NOMINAL = 1e-12        # power of a public symbol that only carries coherent power
 
 
-def _dual_caps(scheme: str, gains, z):
-    """df_caps at z on dual vectors [value, d/d(a1, a2, E12, E21, E13, E23,
-    ES1, ES2)], with powers p = E / a and every slot floored at _SLOT_FLOOR."""
-    a1 = _BASIS[0].copy()
-    a2 = _BASIS[1].copy()
-    a3 = -_BASIS[0] - _BASIS[1]
-    a1[0] = max(z[0], _SLOT_FLOOR)
-    a2[0] = max(z[1], _SLOT_FLOOR)
-    a3[0] = max(1.0 - z[0] - z[1], _SLOT_FLOOR)
+@dataclass(frozen=True)
+class _Family:
+    """How a scheme family's energies sit in the slots and the budgets."""
 
-    def power(i, a):
-        p = max(z[i], 0.0) / a[0]
-        out = (_BASIS[i] - p * a) / a[0]
-        out[0] = p
-        return out
-
-    powers = (power(2, a1), power(3, a2), power(4, a3), power(5, a3), power(6, a3),
-              power(7, a3))
-    return df_caps(scheme, gains, a1, a2, a3, powers, DUAL_OPS)
+    name: str                    # the family as power_used spells it
+    kernel: Callable             # df_caps or pdf_caps
+    slot_of: Tuple[int, ...]     # slot (0, 1, 2) of each energy
+    owner: Tuple[int, ...]       # user (0, 1) spending each energy
+    private: Tuple[int, int]     # each user's slot-3 private energy
+    own: Tuple[int, int]         # where a user's energy goes when slot 3 is empty
+    # coherent pairs (user 1's energy, user 2's energy, carrier energy or
+    # None), in the order the kernel takes their gmean
+    pairs: Tuple[Tuple[int, int, Optional[int]], ...]
+    powers: Callable             # allocation -> kernel powers
+    allocation: Callable         # kernel powers -> allocation
 
 
-def _epigraph_rows(scheme: str, gains, budget: PowerBudget, scale: float):
-    """(rows, jac, count): the constraint rows (all >= 0) of the epigraph form
-    and their Jacobian, with the caps and t measured in units of ``scale``.
-    Both come from one kernel evaluation per point, and count[0] is the
-    number of evaluations."""
-    n_sums = 4 if scheme == "DF" else 2
-    jac = np.zeros((5 + 2 * n_sums, 10))
-    jac[0, [2, 4, 6]] = -1.0        # user 1's energy
-    jac[1, [3, 5, 7]] = -1.0        # user 2's energy
-    jac[2, [0, 1]] = -1.0           # a1 + a2 <= 1
-    jac[3:4 + n_sums, 8] = -1.0     # t1 rows: m1, the sum caps
-    jac[4 + n_sums:, 9] = -1.0      # t2 rows: the sum caps, m1 + m2
-    last = {}
-    count = [0]
-
-    def evaluate(z):
-        key = z.tobytes()
-        if key not in last:
-            m1, m2, sums = _dual_caps(scheme, gains, z)
-            caps = np.array((m1, *sums, *sums, m1 + m2)) / scale
-            rows = np.concatenate(((budget.p1 - z[2] - z[4] - z[6],
-                                    budget.p2 - z[3] - z[5] - z[7],
-                                    1.0 - z[0] - z[1]), caps[:, 0]))
-            rows[3:4 + n_sums] -= z[8]
-            rows[4 + n_sums:] -= z[9]
-            jac[3:, :8] = caps[:, 1:]
-            last.clear()
-            last[key] = rows, jac.copy()
-            count[0] += 1
-        return last[key]
-
-    return (lambda z: evaluate(z)[0]), (lambda z: evaluate(z)[1]), count
+# energies (E12, E21, E13, E23, ES1, ES2)
+_DF = _Family(name="DF", kernel=df_caps, slot_of=(0, 1, 2, 2, 2, 2), owner=(0, 1, 0, 1, 0, 1),
+              private=(2, 3), own=(0, 1), pairs=((4, 5, None),), powers=astuple,
+              allocation=lambda p: DfAllocation(*p))
+# energies (EU, E10, EV, E20, E13, E23, Eac2, Eac3, Ead2, Ead3); U carries
+# ac2 and ad3, V carries ac3 and ad2
+_PDF = _Family(name="PDF", kernel=pdf_caps, slot_of=(0, 0, 1, 1, 2, 2, 2, 2, 2, 2),
+               owner=(0, 0, 1, 1, 0, 1, 0, 0, 1, 1), private=(4, 5), own=(0, 2),
+               pairs=((6, 9, 0), (7, 8, 2)),
+               powers=lambda a: (a.pu, a.p10, a.pv, a.p20, a.p13, a.p23, a.c2 * a.pu,
+                                 a.c3 * a.pv, a.d2 * a.pv, a.d3 * a.pu),
+               allocation=_pdf_allocation)
 
 
-def _rebuild(z, budget: PowerBudget, shortest: float):
-    """TimeSlots and DfAllocation of a solver point that spend each user's
-    whole budget, as the search's parameterization does.
+def _energies(family: _Family, slots: TimeSlots, alloc) -> list:
+    """(a1, a2, energies) of an allocation."""
+    lengths = (slots.a1, slots.a2, slots.a3)
+    return [slots.a1, slots.a2, *(p * lengths[s] for p, s in
+                                  zip(family.powers(alloc), family.slot_of))]
+
+
+def _dual_caps(kernel, family: _Family, z):
+    """kernel(a1, a2, a3, powers, ops) at z on dual vectors [value, d/d(a1,
+    a2, energies, coherent energies)].  Each power is its energy over the
+    length of its slot, every slot is floored at _SLOT_FLOOR, and the ops'
+    gmean returns, call by call, the coherent energy of the family's next
+    pair over a3."""
+    slot_of = family.slot_of + (2,) * len(family.pairs)
+    n = len(slot_of)
+    basis = np.eye(3 + n)[1:]
+    slots = np.array((basis[0], basis[1], -basis[0] - basis[1]))
+    slots[:, 0] = (max(z[0], _SLOT_FLOOR), max(z[1], _SLOT_FLOOR),
+                   max(1.0 - z[0] - z[1], _SLOT_FLOOR))
+    # d(E/a) = (dE - (E/a) da) / a
+    a = slots[list(slot_of)]
+    p = np.maximum(z[2:2 + n], 0.0) / a[:, 0]
+    powers = (basis[2:] - p[:, None] * a) / a[:, :1]
+    powers[:, 0] = p
+    coherent = iter(powers[len(family.slot_of):])
+    ops = (dual_term, lambda x, y: next(coherent), None)
+    return kernel(*slots, list(powers[:len(family.slot_of)]), ops)
+
+
+def _rebuild(family: _Family, scheme: str, z, budget: PowerBudget, shortest: float):
+    """TimeSlots and allocation of a solver point that spend each user's whole
+    budget.
 
     Slots are clamped into the simplex, and slots shorter than ``shortest``
     are emptied.  Energy is clamped at 0 and scaled onto a budget it
     overshoots; energy left unspent or parked in an empty slot goes to the
-    user's slot-3 private symbol, or to its own slot when slot 3 is empty,
-    which lowers no cap.
+    user's slot-3 private symbol, or to its own slot when slot 3 is empty.
+    A coherent pair with a silent side becomes private power.  None of this
+    lowers a cap.
     """
     a1, a2 = (v if v >= shortest else 0.0 for v in (float(z[0]), float(z[1])))
     a1 = min(a1, 1.0)
@@ -657,222 +455,295 @@ def _rebuild(z, budget: PowerBudget, shortest: float):
     if 1.0 - a1 - a2 < shortest:
         a2 = 1.0 - a1
     slots = TimeSlots.from_first_two(a1, a2)
-    e = [max(float(v), 0.0) for v in z[2:8]]
-    if e[4] == 0.0 or e[5] == 0.0:
-        e[2:] = e[2] + e[4], e[3] + e[5], 0.0, 0.0
-    for user, own, total in ((0, slots.a1, budget.p1), (1, slots.a2, budget.p2)):
-        if own == 0.0:
-            e[user] = 0.0
-        if slots.a3 == 0.0:
-            e[user + 2] = e[user + 4] = 0.0
-        spent = e[user] + e[user + 2] + e[user + 4]
+    lengths = (slots.a1, slots.a2, slots.a3)
+    e = [max(float(v), 0.0) if lengths[s] > 0.0 else 0.0
+         for v, s in zip(z[2:], family.slot_of)]
+    if scheme == "PDF_JOINT":
+        # only su1 = pu + p10 and su2 = pv + p20 enter its caps
+        e[0:4] = e[0] + e[1], 0.0, e[2] + e[3], 0.0
+    elif scheme == "PDF_SEPARATE":
+        # its caps see su1 and p10, and grow with p10 at a fixed su1
+        e[0:4] = 0.0, e[0] + e[1], 0.0, e[2] + e[3]
+    nominal = []
+    for i, j, carrier in family.pairs:
+        if e[i] == 0.0 or e[j] == 0.0:
+            e[family.private[0]] += e[i]
+            e[family.private[1]] += e[j]
+            e[i] = e[j] = 0.0
+        elif carrier is not None and e[carrier] == 0.0:
+            # the pair keeps its coherent gain on a public symbol that has
+            # no power of its own: the symbol gets a nominal power, which
+            # costs energy only in a slot of positive length
+            nominal.append(carrier)
+            e[carrier] = _NOMINAL * lengths[family.slot_of[carrier]]
+    for user, total in enumerate((budget.p1, budget.p2)):
+        mine = [i for i, o in enumerate(family.owner) if o == user]
+        spent = sum(e[i] for i in mine)
         if spent > total:
-            for i in (user, user + 2, user + 4):
+            for i in mine:
                 e[i] *= total / spent
         elif slots.a3 > 0.0:
-            e[user + 2] += total - spent
-        elif own > 0.0:
-            e[user] += total - spent
-    lengths = (slots.a1, slots.a2, slots.a3, slots.a3, slots.a3, slots.a3)
-    return slots, DfAllocation(*(v / a if a > 0.0 else 0.0 for v, a in zip(e, lengths)))
+            e[family.private[user]] += total - spent
+        elif lengths[user] > 0.0:
+            e[family.own[user]] += total - spent
+    powers = [v / lengths[s] if lengths[s] > 0.0 else 0.0 for v, s in zip(e, family.slot_of)]
+    for carrier in nominal:
+        powers[carrier] = powers[carrier] or _NOMINAL
+    return slots, family.allocation(powers)
 
 
-def _solve_concave(g: ChannelGains, budget: PowerBudget, scheme: str, mu1: float,
-                   mu2: float, rho: Optional[NoiseCorrelation],
-                   extra_starts: Sequence) -> Optional[OptResult]:
-    """SLSQP solves of the epigraph form for mu1 >= mu2.
+@dataclass(frozen=True)
+class _Candidate:
+    score: float
+    slots: TimeSlots
+    allocation: Union[PdfAllocation, DfAllocation]
+    vertex: Tuple[float, float]
+    value: float
 
-    Returns None, so that the search runs instead, when the first solve
-    reports failure, a rebuilt point misses the power budget, or a warm
-    start beats the solution by more than 1e-9.
-    """
-    from scipy.optimize import minimize as _scipy_minimize
 
-    gains = df_gains(scheme, g, rho)
-    p_1, p_2 = budget.p1, budget.p2
-    # _score's objective and tie rule as weights on (t1, t2), negated
-    primary = np.array([-(mu1 - mu2), -mu2])
-    tie = np.array([-(mu2 - mu1), -mu1])
+class _Solver:
+    """The concave programs of one scheme and one direction with mu1 >= mu2."""
 
-    def tight(caps):
-        # the largest feasible (t1, t2) under caps (m1, m2, min sum cap)
-        m1, m2, ms = caps
-        return np.array([min(m1, ms), min(ms, m1 + m2)])
+    def __init__(self, scheme: str, g: ChannelGains, budget: PowerBudget,
+                 rho: Optional[NoiseCorrelation], mu1: float, mu2: float):
+        self.scheme, self.g, self.budget, self.rho = scheme, g, budget, rho
+        self.mu = np.array([mu1, mu2])
+        if scheme in _PDF_SCHEMES:
+            self.family, self.gains = _PDF, pdf_gains(g)
+        else:
+            self.family, self.gains = _DF, df_gains(scheme, g, rho)
+        self.scale = None
+        self.evaluations = 0
+        # every cap is a sum of at most four terms a * C(x / a) (PDF_PARTIAL
+        # subtracts one), and no numerator exceeds gain * (p1 + p2) / a
+        e12, e21, k10, k20, noise = self.gains
+        gain = (math.sqrt(e12) + math.sqrt(e21) + k10 + k20) ** 2
+        self.rate_bound = 4.0 * c_gauss(gain * (budget.p1 + budget.p2) / noise)
+        n = len(self.family.slot_of) + len(self.family.pairs)
+        # solver columns of each coherent pair and of its coherent energy
+        pairs = self.family.pairs
+        self.cones = (np.array([2 + i for i, _, _ in pairs]), np.array([2 + j for _, j, _ in pairs]),
+                      2 + len(self.family.slot_of) + np.arange(len(pairs)))
+        # the linear parts of the rows (all >= 0): both budgets, a1 + a2 <= 1,
+        # and the rates under the caps (m1, m2, then the sum caps)
+        n_caps = 4 if scheme in ("OUTER", "DEGRADED") else 6
+        self.linear = np.zeros((3 + n_caps, n + 4))
+        for i, u in enumerate(self.family.owner):
+            self.linear[u, 2 + i] = -1.0
+        self.linear[2, :2] = -1.0
+        self.linear[3, -2] = self.linear[4, -1] = -1.0
+        self.linear[5:, -2:] = -1.0
+        self.base = np.zeros(3 + n_caps)
+        self.base[:3] = budget.p1, budget.p2, 1.0
 
-    # SLSQP's stopping rules are absolute, so rates are measured in units of
-    # the objective's value at the start
-    z0 = np.array([1 / 3, 1 / 3, p_1 / 3, p_2 / 3, p_1 / 6, p_2 / 6, p_1 / 6, p_2 / 6,
-                   0.0, 0.0])
-    caps0 = _dual_caps(scheme, gains, z0)
-    t0 = tight((caps0[0][0], caps0[1][0], min(c[0] for c in caps0[2])))
-    scale = max(-float(primary @ t0), 1e-12)
-    z0[8:] = t0 / scale
-    rows, jac, count = _epigraph_rows(scheme, gains, budget, scale)
-    count[0] += 1
-    bounds = [(0.0, 1.0), (0.0, 1.0)] + [(0.0, p_1), (0.0, p_2)] * 3 + [(None, None)] * 2
+    # -- the model -------------------------------------------------------
 
-    def solve(weights, z, options):
-        w = np.zeros(10)
-        w[8:] = weights
-        return _scipy_minimize(lambda z: float(w @ z), z, jac=lambda z: w,
-                               method="SLSQP", bounds=bounds,
-                               constraints={"type": "ineq", "fun": rows, "jac": jac},
-                               options=options)
+    def model(self, at):
+        """z -> dual caps: the kernel, or for PDF_PARTIAL the concave model
+        whose subtracted terms are linearized at the point ``at``."""
+        scheme, gains, family = self.scheme, self.gains, self.family
+        if scheme != "PDF_PARTIAL":
+            return lambda z: _dual_caps(lambda *a: family.kernel(scheme, gains, *a), family, z)
+        k12s, k21s, _, _, n = gains
+        tangents = _dual_caps(lambda a1, a2, a3, p, ops: (ops[0](a1, k12s * p[1], n),
+                                                          ops[0](a2, k21s * p[3], n)),
+                              family, at)
+        self.evaluations += 1
+        x0 = np.asarray(at[:-2])
 
-    def candidate(z):
-        # the rebuilt point, and the same with slots shorter than _SNAP
-        # emptied: SLSQP can leave a slot just above 0 that wastes energy
+        def caps(z):
+            step = z[:-2] - x0
+            minus = [np.concatenate(([t[0] + t[1:] @ step], t[1:])) for t in tangents]
+            return _dual_caps(lambda *a: pdf_caps(scheme, gains, *a, minus=minus), family, z)
+        return caps
+
+    # -- candidates ------------------------------------------------------
+
+    def candidate(self, z) -> _Candidate:
+        """The better of z's rebuilt points, with and without slots shorter
+        than _SNAP emptied: SLSQP can leave a slot just above 0 that wastes
+        energy."""
+        mu = tuple(self.mu)
         best = None
         for shortest in (_SLOT_FLOOR, _SNAP):
-            slots, alloc = _rebuild(z, budget, shortest)
-            if not power_feasible("DF", slots, alloc, budget)[2]:
-                return None
-            region = scheme_region(scheme, g, slots, alloc, rho)
-            vertex, value = weighted_best_vertex(polygon_from_constraints(region),
-                                                 (mu1, mu2))
-            caps = (region.min_r1, region.min_r2, region.min_sum)
-            score = _score(caps, mu1, mu2)
-            if best is None or score > best[0]:
-                best = score, slots, alloc, vertex, value, caps
+            slots, alloc = _rebuild(self.family, self.scheme, z, self.budget, shortest)
+            if not power_feasible(self.family.name, slots, alloc, self.budget)[2]:
+                raise RuntimeError("a rebuilt point misses the power budget")
+            region = scheme_region(self.scheme, self.g, slots, alloc, self.rho)
+            vertex, value = weighted_best_vertex(polygon_from_constraints(region), mu)
+            score = value + _TIE_EPS * (mu[1] * vertex[0] + mu[0] * vertex[1])
+            self.evaluations += 1
+            if best is None or score > best.score:
+                best = _Candidate(score, slots, alloc, vertex, value)
+        if self.scale is None:
+            # SLSQP's stopping rules are absolute, so rates are measured in
+            # units of the first candidate's value
+            self.scale = max(best.value, 1e-12)
         return best
 
-    sol = solve(primary + _TIE_EPS * tie, z0, _SLSQP_OPTIONS)
-    best = candidate(sol.x) if sol.success else None
-    if best is None:
-        return None
-    # SLSQP can stop early where the objective is flat, so a second solve
-    # restarts from the rebuilt solution with a tighter tolerance.  Where
-    # mu2 is too small for SLSQP to resolve, a third one turns the direction
-    # to weight _TIE_TURN on t2: that direction's optimum is the tie rule's
-    # corner of the optimal face wherever the frontier beyond it is less
-    # steep than 1 / _TIE_TURN.  Each point is kept if it scores higher,
-    # whatever SLSQP reports.
-    restarts = [primary + _TIE_EPS * tie]
-    if mu2 < _TIE_TURN * mu1:
-        restarts.append(np.array([-(1.0 - _TIE_TURN), -_TIE_TURN]) * mu1)
-    for weights in restarts:
-        _, slots, alloc, _, _, caps = best
-        a = (slots.a1, slots.a2, slots.a3, slots.a3, slots.a3, slots.a3)
-        z = np.array([slots.a1, slots.a2, *(ai * v for ai, v in zip(a, astuple(alloc))),
-                      *(tight(caps) / scale)])
-        again = candidate(solve(weights, z, _POLISH_OPTIONS).x)
-        if again is None:
-            return None
-        best = max(best, again, key=lambda c: c[0])
-    evals = count[0] + 2 * (1 + len(restarts))
-    score = best[0]
+    def point(self, c: _Candidate) -> np.ndarray:
+        """The solver point of a candidate, at its vertex."""
+        x = _energies(self.family, c.slots, c.allocation)
+        coherent = [math.sqrt(x[2 + i] * x[2 + j]) for i, j, _ in self.family.pairs]
+        return np.array([*x, *coherent, *(r / self.scale for r in c.vertex)])
 
-    caps_fn, alloc_fn, _ = _evaluator(scheme, g, budget, rho)
-    for s_slots, s_alloc in extra_starts:
-        x = _x_from_alloc(scheme, s_slots, s_alloc, budget)
-        caps = caps_fn(x)
-        evals += 1
-        v = _score(caps, mu1, mu2)
-        if v > score + 1e-9:
-            return None
-        if v > best[0]:
-            _, r1, r2 = _value(caps, mu1, mu2)
-            best = (v, *alloc_fn(x), (r1, r2), mu1 * r1 + mu2 * r2, caps)
-    _, slots, alloc, vertex, value, _ = best
-    return OptResult(scheme=scheme, mu=(mu1, mu2), slots=slots, allocation=alloc,
-                     vertex=vertex, value=value, evaluations=evals)
+    # -- solves ----------------------------------------------------------
+
+    def minimize(self, model, z, weights, kind):
+        """One SLSQP solve from z that maximizes weights . R."""
+        from scipy.optimize import minimize as _scipy_minimize
+
+        n_caps = len(self.base) - 3
+        # each coherent energy W of a pair (x, y) stays under sqrt(x y):
+        # (x y - W^2) / (p1 p2) >= 0
+        cx, cy, cw = self.cones
+        k = np.arange(len(cw))
+        norm = self.budget.p1 * self.budget.p2
+        jac = np.zeros((len(self.base) + len(cw), len(z)))
+        jac[:len(self.base)] = self.linear
+        last = {}
+
+        def evaluate(z):
+            key = z.tobytes()
+            if key not in last:
+                m1, m2, sums = model(z)
+                caps = np.array((m1, m2, *sums)) / self.scale
+                rows = self.base + self.linear @ z
+                rows[3:] += caps[:, 0]
+                jac[3:3 + n_caps, :-2] = caps[:, 1:]
+                cone = jac[len(self.base):]
+                cone[k, cx], cone[k, cy], cone[k, cw] = z[cy] / norm, z[cx] / norm, -2 * z[cw] / norm
+                last.clear()
+                last[key] = (np.concatenate((rows, (z[cx] * z[cy] - z[cw] ** 2) / norm)),
+                             jac.copy())
+                self.evaluations += 1
+            return last[key]
+
+        # the energies of a slot that is empty at the start stay 0: at an
+        # empty slot a * C(k E / a) has no gradient, and the supergradient
+        # SLSQP gets there promises gains that no step delivers
+        lengths = (z[0], z[1], 1.0 - z[0] - z[1])
+        budgets = (self.budget.p1, self.budget.p2)
+        bounds = [(0.0, 1.0)] * 2 + [
+            (0.0, 0.0 if lengths[slot] <= _SLOT_FLOOR else budgets[user])
+            for slot, user in zip(self.family.slot_of, self.family.owner)] + [
+            (0.0, 0.0 if lengths[2] <= _SLOT_FLOOR else math.sqrt(norm))] * len(cw) + [
+            (0.0, self.rate_bound / self.scale)] * 2
+        step, ftol = kind
+        w = np.zeros(len(z))
+        w[-2:] = weights
+        w *= step
+        return _scipy_minimize(lambda z: -float(w @ z), z, jac=lambda z: -w, method="SLSQP",
+                               bounds=bounds,
+                               options={"ftol": ftol * step, "maxiter": _MAXITER},
+                               constraints={"type": "ineq", "fun": lambda z: evaluate(z)[0],
+                                            "jac": lambda z: evaluate(z)[1]})
+
+    def run(self, start: _Candidate, kind, restarts: int = 0, weights=None) -> _Candidate:
+        """Maximize weights . R (by default mu . R) from a candidate, linearized
+        there for PDF_PARTIAL.  A solve that reports failure is restarted from
+        its rebuilt point, up to ``restarts`` times while that point gains.
+        Returns the best of the start and the rebuilt candidates."""
+        z = self.point(start)
+        model = self.model(z)
+        best = start
+        for _ in range(1 + restarts):
+            sol = self.minimize(model, z, self.mu if weights is None else weights, kind)
+            c = self.candidate(sol.x)
+            gained = c.score > best.score
+            if gained:
+                best = c
+            if sol.success or not gained:
+                break
+            z = self.point(c)
+        return best
+
+    def solve(self, starts, turn: bool = True) -> _Candidate:
+        """Best candidate over the (candidate, kind of solve) starts,
+        re-solved from itself (the convex-concave procedure for PDF_PARTIAL),
+        then, with ``turn``, turned toward R2 where mu2 is too small for SLSQP
+        to resolve."""
+        best = None
+        for start, kind in starts:
+            c = self.run(start, kind, _RESTARTS)
+            if best is None or c.score > best.score:
+                best = c
+        for _ in range(_ROUNDS):
+            c = self.run(best, _POLISH)
+            gained = c.score > best.score + _GAIN * abs(best.score)
+            best = c
+            if not gained:
+                break
+        if turn and self.mu[1] < _TIE_TURN:
+            # this direction's optimum is the tie rule's corner of the optimal
+            # face wherever the frontier beyond it is less steep than
+            # 1 / _TIE_TURN
+            best = self.run(best, _POLISH, weights=np.array([1.0 - _TIE_TURN, _TIE_TURN]))
+        return best
+
+
+def _interior(budget: PowerBudget):
+    """The fixed interior start of the decode-forward family."""
+    p_1, p_2 = budget.p1, budget.p2
+    return (TimeSlots(1 / 3, 1 / 3, 1 / 3),
+            DfAllocation(p_1, p_2, p_1 / 2, p_2 / 2, p_1 / 2, p_2 / 2))
+
+
+def _solve(scheme: str, g: ChannelGains, budget: PowerBudget,
+           rho: Optional[NoiseCorrelation], mu1: float, mu2: float,
+           extra_starts: Sequence, turn: bool = True) -> Tuple[_Candidate, int]:
+    """Best candidate and kernel evaluations for mu1 >= mu2; a solve that
+    only provides a start skips the turn toward R2."""
+    solver = _Solver(scheme, g, budget, rho, mu1, mu2)
+    if scheme in _DF_SCHEMES:
+        points, kind = [_energies(_DF, *_interior(budget))], _COLD
+    else:
+        prev = "DF" if scheme == "PDF_JOINT" else "PDF_JOINT"
+        base, used = _solve(prev, g, budget, None, mu1, mu2, (), turn=False)
+        solver.evaluations += used
+        kind = _WARM
+        if prev == "DF":
+            # own-slot power public, each coherent energy split evenly
+            # between U and V, or all on one of them
+            a1, a2, e12, e21, e13, e23, es1, es2 = _energies(_DF, base.slots, base.allocation)
+            points = [[a1, a2, e12, 0.0, e21, 0.0, e13, e23, u * es1, (1 - u) * es1,
+                       (1 - u) * es2, u * es2] for u in (0.5, 1.0, 0.0)]
+        else:
+            points = [_energies(_PDF, base.slots, base.allocation)]
+    starts = [(max((solver.candidate(x) for x in points), key=lambda c: c.score), kind)]
+    starts += [(solver.candidate(_energies(solver.family, s, a)), _WARM)
+               for s, a in extra_starts]
+    return solver.solve(starts, turn), solver.evaluations
 
 
 def optimize_scheme(g: ChannelGains, budget: PowerBudget, scheme: str,
                     mu: Tuple[float, float], cfg: SearchConfig,
                     rho: Optional[NoiseCorrelation] = None,
-                    extra_starts: Sequence = (),
-                    _cache: Optional[Dict] = None) -> OptResult:
-    """Maximize mu1*R1 + mu2*R2 for one scheme.
+                    extra_starts: Sequence = ()) -> OptResult:
+    """Maximize mu1*R1 + mu2*R2 for one scheme (see the module docstring).
 
-    DF, OUTER and DEGRADED are solved as one concave program; the search
-    runs for the superposition schemes and whenever the concave solve fails
-    its checks (see the module docstring).  extra_starts is an optional
-    sequence of (TimeSlots, allocation) warm starts that are evaluated
-    alongside the solution, and refined by the search.
+    extra_starts is an optional sequence of (TimeSlots, allocation) points of
+    the scheme's family, each solved from as one more start.  cfg has no
+    effect on the optimizer.
     """
     mu1, mu2 = float(mu[0]), float(mu[1])
-    _check(mu1 >= 0.0 and mu2 >= 0.0 and (mu1 > 0.0 or mu2 > 0.0),
-           "mu components must be >= 0 and not both zero")
+    _check_weights(mu1, mu2)
     _check(scheme in SCHEMES, f"unknown scheme {scheme!r}")
-    if _cache is None:
-        _cache = {}
-
-    if mu2 > mu1:
+    top = max(mu1, mu2)
+    w1, w2 = mu1 / top, mu2 / top
+    if w2 > w1:
         swapped_rho = None if rho is None else NoiseCorrelation(rho.rho2, rho.rho1)
         swapped_starts = tuple((_swap_slots(s), swap_allocation(a)) for s, a in extra_starts)
-        res = optimize_scheme(_swap_gains(g), PowerBudget(budget.p2, budget.p1), scheme,
-                              (mu2, mu1), cfg, rho=swapped_rho,
-                              extra_starts=swapped_starts, _cache=_cache)
-        return OptResult(scheme=res.scheme, mu=(mu1, mu2),
-                         slots=_swap_slots(res.slots),
-                         allocation=swap_allocation(res.allocation),
-                         vertex=(res.vertex[1], res.vertex[0]),
-                         value=res.value, evaluations=res.evaluations)
-
-    if scheme in _DF_SCHEMES:
-        res = _solve_concave(g, budget, scheme, mu1, mu2, rho, extra_starts)
-        if res is not None:
-            return res
-    return _search(g, budget, scheme, mu1, mu2, cfg, rho, extra_starts, _cache)
-
-
-def _search(g: ChannelGains, budget: PowerBudget, scheme: str, mu1: float, mu2: float,
-            cfg: SearchConfig, rho: Optional[NoiseCorrelation], extra_starts: Sequence,
-            _cache: Dict) -> OptResult:
-    """The derivative-free search: phase-1 scan, pattern refinement and the
-    simplex polish of the best distinct-cell starts and the best warm start."""
-    caps_fn, alloc_fn, dim = _evaluator(scheme, g, budget, rho)
-    rho_key = None if rho is None else (rho.rho1, rho.rho2)
-    key = (g.k12, g.k21, g.k10, g.k20, g.noise, budget.p1, budget.p2, scheme, rho_key,
-           cfg.slot_grid, cfg.power_grid, cfg.seed)
-    if key not in _cache:
-        xs = _phase1_xs(scheme, dim, cfg)
-        _cache[key] = xs, caps_fn(xs, ARRAY_OPS)
-    xs, table = _cache[key]
-    evals = xs.shape[1]
-
-    # refinement starts come from distinct slot cells so the multi-start
-    # probes different basins instead of one winner's neighborhood; the
-    # stable sort keeps scan order among equal scores
-    score = _score(table, mu1, mu2, ARRAY_OPS)
-    starts = []
-    seen_cells = set()
-    for i in np.argsort(-score, kind="stable"):
-        x = tuple(xs[:, i].tolist())
-        if x[:2] in seen_cells:
-            continue
-        seen_cells.add(x[:2])
-        # the table only ranks; a start carries its scalar-path score, which
-        # refinement compares against
-        starts.append((_score(caps_fn(x), mu1, mu2), x))
-        if len(starts) >= _N_STARTS:
-            break
-    warm = []
-    for s_slots, s_alloc in extra_starts:
-        x = _x_from_alloc(scheme, s_slots, s_alloc, budget)
-        v = _score(caps_fn(x), mu1, mu2)
-        evals += 1
-        warm.append((v, x))
-    if warm:
-        # every warm point counts as evaluated; the best one is also refined
-        warm.sort(key=lambda t: t[0], reverse=True)
-        starts.append(warm[0])
-
-    best_v, best_x = max(starts + warm, key=lambda t: t[0])
-    for v0, x0 in starts:
-        x1, v1, used = _refine(caps_fn, x0, v0, mu1, mu2, cfg)
-        evals += used
-        x2, v2, used = _nm_polish(caps_fn, x1, v1, mu1, mu2, cfg)
-        evals += used
-        if v2 > best_v:
-            best_v, best_x = v2, x2
-
-    slots, alloc = alloc_fn(best_x)
-    _, r1, r2 = _value(caps_fn(best_x), mu1, mu2)
-    evals += 1
+        best, evals = _solve(scheme, _swap_gains(g), PowerBudget(budget.p2, budget.p1),
+                             swapped_rho, w2, w1, swapped_starts)
+        slots, alloc = _swap_slots(best.slots), swap_allocation(best.allocation)
+        vertex = (best.vertex[1], best.vertex[0])
+    else:
+        best, evals = _solve(scheme, g, budget, rho, w1, w2, extra_starts)
+        slots, alloc, vertex = best.slots, best.allocation, best.vertex
     return OptResult(scheme=scheme, mu=(mu1, mu2), slots=slots, allocation=alloc,
-                     vertex=(r1, r2), value=mu1 * r1 + mu2 * r2, evaluations=evals)
+                     vertex=vertex, value=mu1 * vertex[0] + mu2 * vertex[1],
+                     evaluations=evals)
 
 
 def frontier(g: ChannelGains, budget: PowerBudget, scheme: str, weight_count: int,
@@ -883,12 +754,11 @@ def frontier(g: ChannelGains, budget: PowerBudget, scheme: str, weight_count: in
     _check(isinstance(weight_count, numbers.Integral) and not isinstance(weight_count, bool),
            f"weight_count must be an integer, got {weight_count!r}")
     _check(weight_count >= 3, "weight_count must be >= 3")
-    cache: Dict = {}
     results = []
     for i in range(weight_count):
         theta = 0.5 * math.pi * i / (weight_count - 1)
         mu = (math.cos(theta), math.sin(theta))
         results.append(optimize_scheme(g, budget, scheme, mu, cfg, rho=rho,
-                                       extra_starts=extra_starts, _cache=cache))
+                                       extra_starts=extra_starts))
     hull = upper_hull([r.vertex for r in results])
     return FrontierResult(scheme=scheme, points=tuple(results), hull=hull)

@@ -4,7 +4,7 @@ Each verify_* operation checks one claim on a concrete scenario and returns
 a Verdict with a quantified worst slack and a replayable witness.  Claims
 that compare two optimized frontiers cross-seed each optimizer with the
 other's best points (mapped between schemes where needed), so coincidence
-checks measure the regions rather than independent-search noise.
+checks measure the regions rather than where independent solves stop.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from .gaussian import (
 )
 from .optimize import (
     SearchConfig,
-    _point_slack,
     frontier,
     optimize_scheme,
+    point_slack,
     region_contains,
     sample_allocation,
     upper_hull,
@@ -116,7 +116,7 @@ def df_to_pdf_allocation(a: DfAllocation, empty: str) -> PdfAllocation:
 
 def _region_vertex_slack(region, vertex) -> float:
     poly = polygon_from_constraints(region)
-    return _point_slack(poly.vertices, vertex)
+    return point_slack(poly.vertices, vertex)
 
 
 def verify_pdf_df_equivalence(g: ChannelGains, budget: PowerBudget, cfg: SearchConfig,
@@ -128,7 +128,6 @@ def verify_pdf_df_equivalence(g: ChannelGains, budget: PowerBudget, cfg: SearchC
     forward = [(r.slots, pdf_to_df_allocation(r.allocation)) for r in fr_pdf.points]
     fr_df = frontier(g, budget, "DF", weight_count, cfg, extra_starts=forward)
 
-    seeds_dump = [{"slots": _slots_dict(s), "allocation": asdict(a)} for s, a in forward]
     max_gap = 0.0
     gap_witness = None
     for rp, rd in zip(fr_pdf.points, fr_df.points):
@@ -143,7 +142,6 @@ def verify_pdf_df_equivalence(g: ChannelGains, budget: PowerBudget, cfg: SearchC
                 "pdf_allocation": asdict(rp.allocation),
                 "df_slots": _slots_dict(rd.slots),
                 "df_allocation": asdict(rd.allocation),
-                "df_seeds": seeds_dump,
             }
 
     # forward map: exact power identity, no objective loss under DF
@@ -242,7 +240,7 @@ def verify_achievable_in_outer(g: ChannelGains, budget: PowerBudget, cfg: Search
     fr_out = frontier(g, budget, "OUTER", weight_count, cfg, extra_starts=seeds)
     # the outer region at each decode-forward optimum covers that optimum's
     # vertex, so the hull comparison reflects the regions rather than where
-    # the two searches happened to stop
+    # the two solves happened to stop
     cross = []
     for r in fr_df.points:
         poly = polygon_from_constraints(gaussian_outer_region(g, r.slots, r.allocation))
@@ -297,7 +295,7 @@ def verify_degraded_capacity(g: ChannelGains, budget: PowerBudget, cfg: SearchCo
     seeds = [(r.slots, r.allocation) for r in fr_df.points]
     fr_deg = frontier(g, budget, "DEGRADED", weight_count, cfg, rho=rho,
                       extra_starts=seeds)
-    # evaluate each search's optima under the other region so both hulls
+    # evaluate each frontier's optima under the other region so both hulls
     # cover the union of evaluated allocations; any pointwise difference
     # between the regions would surface here
     cross_df = []
@@ -364,8 +362,7 @@ def verify_full_vs_partial_user_decoding(g: ChannelGains, budget: PowerBudget,
     )
 
 
-def replay_witness(verdict: Verdict, g: ChannelGains, budget: PowerBudget,
-                   cfg: Optional[SearchConfig] = None) -> float:
+def replay_witness(verdict: Verdict, g: ChannelGains, budget: PowerBudget) -> float:
     """Recompute a verdict's worst slack from its witness."""
     w = verdict.witness
     if w is None:
@@ -400,12 +397,10 @@ def replay_witness(verdict: Verdict, g: ChannelGains, budget: PowerBudget,
         _, slack = region_contains(outer_hull, df_hull, HULL_TOL)
         return slack
     if verdict.claim == "pdf_df_equivalence":
-        if cfg is None:
-            raise ValidationError("replaying pdf_df_equivalence needs the SearchConfig")
         mu = tuple(w["mu"])
-        rp = optimize_scheme(g, budget, "PDF_JOINT", mu, cfg)
-        seeds = [(_slots_from(s["slots"]), DfAllocation(**s["allocation"]))
-                 for s in w["df_seeds"]]
-        rd = optimize_scheme(g, budget, "DF", mu, cfg, extra_starts=seeds)
-        return -abs(rp.value - rd.value)
+        _, pdf_value = weighted_best_vertex(polygon_from_constraints(pdf_joint_region(
+            g, _slots_from(w["pdf_slots"]), PdfAllocation(**w["pdf_allocation"]))), mu)
+        _, df_value = weighted_best_vertex(polygon_from_constraints(df_region(
+            g, _slots_from(w["df_slots"]), DfAllocation(**w["df_allocation"]))), mu)
+        return -abs(pdf_value - df_value)
     raise ValidationError(f"unknown claim {verdict.claim!r}")

@@ -19,8 +19,6 @@ from hdmac.core import (
     polygon_from_constraints,
 )
 from hdmac.gaussian import (
-    ARRAY_OPS,
-    SCALAR_OPS,
     NoiseCorrelation,
     baseline_region,
     degraded_outer_region,
@@ -561,6 +559,14 @@ def _kernel_cases(draw):
     return scheme, g, slots, alloc, rho
 
 
+# Unchecked primitives on Python floats and on numpy arrays: the kernels
+# must run on any number type that supports their arithmetic.
+FLOAT_OPS = (lambda alpha, num, noise: C(num / noise) * alpha if alpha > 0.0 else 0.0,
+             lambda x, y: math.sqrt(x * y), min)
+ARRAY_OPS = (lambda alpha, num, noise: 0.5 * alpha * np.log1p(num / noise) / math.log(2.0),
+             lambda x, y: np.sqrt(x * y), np.minimum)
+
+
 def _kernel_run(scheme, g, slots, alloc, rho, ops, wrap):
     """Evaluate the scheme's kernel directly; wrap(v) turns each input into
     a float or an array."""
@@ -580,7 +586,7 @@ def test_array_and_scalar_kernels_match_region_wrappers(case):
     scheme, g, slots, alloc, rho = case
     region = scheme_region(scheme, g, slots, alloc, rho=rho)
     want = all_bounds(region)
-    r1, r2, sums = _kernel_run(scheme, g, slots, alloc, rho, SCALAR_OPS, float)
+    r1, r2, sums = _kernel_run(scheme, g, slots, alloc, rho, FLOAT_OPS, float)
     assert len(sums) == len(region.sum_bounds)
     for got, ref in zip((r1, r2) + tuple(sums), want):
         assert isinstance(got, float)

@@ -121,7 +121,7 @@ class TestVerdicts:
         assert v.passed
         assert v.details["mapping_feasibility_error"] <= 1e-9
         assert v.details["forward_map_slack"] >= -1e-9
-        slack = replay_witness(v, SYM, BUDGET, FAST)
+        slack = replay_witness(v, SYM, BUDGET)
         assert slack == pytest.approx(v.worst_slack, abs=1e-12)
 
     def test_equivalence_exercises_reverse_map_on_skewed_channel(self):
