@@ -221,7 +221,7 @@ def _cmd_verify(sc: Scenario, out: Path, weights: int) -> int:
         verify_joint_dominates_separate(sc.gains, sc.budget, samples=100, seed=cfg.seed),
         verify_achievable_in_outer(sc.gains, sc.budget, cfg, weights),
         verify_degraded_capacity(sc.gains, sc.budget, cfg, weights),
-        verify_full_vs_partial_user_decoding(sc.gains, sc.budget, cfg),
+        verify_full_vs_partial_user_decoding(sc.gains, sc.budget, cfg, weights),
     ]
     rows = []
     failed = 0

@@ -13,6 +13,7 @@ capacity function is 0.5*log2(1+x).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Tuple, Union
 
@@ -32,7 +33,10 @@ def _check(cond: bool, msg: str) -> None:
 
 
 def _finite(x: float) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
+    """True for a finite real number, numpy scalars included, bool excluded."""
+    if isinstance(x, float) or type(x) is int:
+        return math.isfinite(x)
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _nonneg(value: float, name: str) -> None:

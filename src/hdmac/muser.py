@@ -17,9 +17,25 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .core import POWER_TOL, _check, _finite, c_gauss
+from .core import POWER_TOL, ValidationError, _check, _finite, c_gauss
 
 MAX_USERS = 6
+
+
+def _entries(values, name: str) -> tuple:
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValidationError(f"{name} must be a sequence, got {values!r}") from None
+
+
+def _reals(values, name: str) -> Tuple[float, ...]:
+    """values as floats; each entry must be a finite real number >= 0 (not a
+    bool)."""
+    vals = _entries(values, name)
+    for v in vals:
+        _check(_finite(v) and v >= 0.0, f"{name} entries must be finite and >= 0, got {v!r}")
+    return tuple(float(v) for v in vals)
 
 
 @dataclass(frozen=True)
@@ -34,16 +50,12 @@ class MUserGains:
     def __post_init__(self) -> None:
         _check(isinstance(self.m, int) and 2 <= self.m <= MAX_USERS,
                f"MUserGains.m must be an int in [2, {MAX_USERS}], got {self.m!r}")
-        rows = tuple(tuple(float(v) for v in row) for row in self.k_user)
-        dest = tuple(float(v) for v in self.k_dest)
+        rows = tuple(_reals(row, "MUserGains.k_user")
+                     for row in _entries(self.k_user, "MUserGains.k_user"))
+        dest = _reals(self.k_dest, "MUserGains.k_dest")
         _check(len(rows) == self.m and all(len(r) == self.m for r in rows),
                "MUserGains.k_user must be an m x m matrix")
         _check(len(dest) == self.m, "MUserGains.k_dest must have length m")
-        for r in rows:
-            for v in r:
-                _check(_finite(v) and v >= 0.0, "MUserGains.k_user entries must be >= 0")
-        for v in dest:
-            _check(_finite(v) and v >= 0.0, "MUserGains.k_dest entries must be >= 0")
         _check(_finite(self.noise) and self.noise > 0.0, "MUserGains.noise must be > 0")
         object.__setattr__(self, "k_user", rows)
         object.__setattr__(self, "k_dest", dest)
@@ -59,21 +71,15 @@ class MUserAllocation:
     p_coop: Tuple[float, ...]
 
     def __post_init__(self) -> None:
-        slots = tuple(float(v) for v in self.slots)
-        for name in ("p_solo", "p_priv", "p_coop"):
-            vals = tuple(float(v) for v in getattr(self, name))
-            for v in vals:
-                _check(_finite(v) and v >= 0.0, f"MUserAllocation.{name} entries must be >= 0")
-            object.__setattr__(self, name, vals)
-        for v in slots:
-            _check(_finite(v) and v >= 0.0, "MUserAllocation.slots entries must be >= 0")
+        slots = _reals(self.slots, "MUserAllocation.slots")
         _check(abs(sum(slots) - 1.0) <= 1e-12, "MUserAllocation.slots must sum to 1")
         m = len(slots) - 1
         _check(m >= 2, "MUserAllocation needs at least 3 slots (m >= 2)")
-        for name in ("p_solo", "p_priv", "p_coop"):
-            _check(len(getattr(self, name)) == m,
-                   f"MUserAllocation.{name} must have length m = {len(slots) - 1}")
         object.__setattr__(self, "slots", slots)
+        for name in ("p_solo", "p_priv", "p_coop"):
+            vals = _reals(getattr(self, name), f"MUserAllocation.{name}")
+            _check(len(vals) == m, f"MUserAllocation.{name} must have length m = {m}")
+            object.__setattr__(self, name, vals)
 
     @property
     def m(self) -> int:
@@ -83,10 +89,10 @@ class MUserAllocation:
 def _validate_instance(g: MUserGains, a: MUserAllocation,
                        budgets: Sequence[float]) -> Tuple[float, ...]:
     _check(a.m == g.m, f"allocation is for m={a.m} users, gains for m={g.m}")
-    b = tuple(float(v) for v in budgets)
+    b = _reals(budgets, "budgets")
     _check(len(b) == g.m, "budgets must have length m")
     for v in b:
-        _check(_finite(v) and v > 0.0, "budgets must be > 0")
+        _check(v > 0.0, "budgets must be > 0")
     a_last = a.slots[g.m]
     for k in range(g.m):
         used = a.slots[k] * a.p_solo[k] + a_last * (a.p_priv[k] + a.p_coop[k])

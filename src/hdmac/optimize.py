@@ -24,11 +24,11 @@ in gaussian.py (``df_caps`` or ``pdf_caps``) run on dual numbers.
 - Starts: DF, OUTER and DEGRADED start from a fixed interior point, PDF_JOINT
   from the DF solution (the best of its coherent energy split evenly between
   U and V, all on U and all on V), PDF_SEPARATE and PDF_PARTIAL from the
-  PDF_JOINT solution.  Every
-  ``extra_starts`` entry is one more start.  A solve that reports failure is
-  restarted from its rebuilt point while that point gains.
-- The best candidate is re-solved from itself with a tighter tolerance
-  until the value gains less than 1e-12 (relative).  Where mu2 is too small for SLSQP to resolve, one more solve turns the
+  PDF_JOINT solution; each direction is solved on its own.  A solve that
+  reports failure is restarted from its rebuilt point while that point gains.
+- The solved candidate is re-solved from itself with a tighter tolerance
+  until the value gains less than 1e-12 (relative), at most 20 times.
+  Where mu2 is too small for SLSQP to resolve, one more solve turns the
   direction slightly toward R2, which finds the corner the tie rule of
   ``weighted_best_vertex`` reports (largest R1, then largest R2).
 - A slot that is empty where a solve starts keeps no energy during that
@@ -658,16 +658,12 @@ class _Solver:
             z = self.point(c)
         return best
 
-    def solve(self, starts, turn: bool = True) -> _Candidate:
-        """Best candidate over the (candidate, kind of solve) starts,
+    def solve(self, start: _Candidate, kind, turn: bool = True) -> _Candidate:
+        """The candidate solved from ``start`` with the ``kind`` of solve,
         re-solved from itself (the convex-concave procedure for PDF_PARTIAL),
         then, with ``turn``, turned toward R2 where mu2 is too small for SLSQP
         to resolve."""
-        best = None
-        for start, kind in starts:
-            c = self.run(start, kind, _RESTARTS)
-            if best is None or c.score > best.score:
-                best = c
+        best = self.run(start, kind, _RESTARTS)
         for _ in range(_ROUNDS):
             c = self.run(best, _POLISH)
             gained = c.score > best.score + _GAIN * abs(best.score)
@@ -691,7 +687,7 @@ def _interior(budget: PowerBudget):
 
 def _solve(scheme: str, g: ChannelGains, budget: PowerBudget,
            rho: Optional[NoiseCorrelation], mu1: float, mu2: float,
-           extra_starts: Sequence, turn: bool = True) -> Tuple[_Candidate, int]:
+           turn: bool = True) -> Tuple[_Candidate, int]:
     """Best candidate and kernel evaluations for mu1 >= mu2; a solve that
     only provides a start skips the turn toward R2."""
     solver = _Solver(scheme, g, budget, rho, mu1, mu2)
@@ -699,7 +695,7 @@ def _solve(scheme: str, g: ChannelGains, budget: PowerBudget,
         points, kind = [_energies(_DF, *_interior(budget))], _COLD
     else:
         prev = "DF" if scheme == "PDF_JOINT" else "PDF_JOINT"
-        base, used = _solve(prev, g, budget, None, mu1, mu2, (), turn=False)
+        base, used = _solve(prev, g, budget, None, mu1, mu2, turn=False)
         solver.evaluations += used
         kind = _WARM
         if prev == "DF":
@@ -710,21 +706,16 @@ def _solve(scheme: str, g: ChannelGains, budget: PowerBudget,
                        (1 - u) * es2, u * es2] for u in (0.5, 1.0, 0.0)]
         else:
             points = [_energies(_PDF, base.slots, base.allocation)]
-    starts = [(max((solver.candidate(x) for x in points), key=lambda c: c.score), kind)]
-    starts += [(solver.candidate(_energies(solver.family, s, a)), _WARM)
-               for s, a in extra_starts]
-    return solver.solve(starts, turn), solver.evaluations
+    start = max((solver.candidate(x) for x in points), key=lambda c: c.score)
+    return solver.solve(start, kind, turn), solver.evaluations
 
 
 def optimize_scheme(g: ChannelGains, budget: PowerBudget, scheme: str,
                     mu: Tuple[float, float], cfg: SearchConfig,
-                    rho: Optional[NoiseCorrelation] = None,
-                    extra_starts: Sequence = ()) -> OptResult:
+                    rho: Optional[NoiseCorrelation] = None) -> OptResult:
     """Maximize mu1*R1 + mu2*R2 for one scheme (see the module docstring).
 
-    extra_starts is an optional sequence of (TimeSlots, allocation) points of
-    the scheme's family, each solved from as one more start.  cfg has no
-    effect on the optimizer.
+    cfg has no effect on the optimizer.
     """
     mu1, mu2 = float(mu[0]), float(mu[1])
     _check_weights(mu1, mu2)
@@ -733,13 +724,12 @@ def optimize_scheme(g: ChannelGains, budget: PowerBudget, scheme: str,
     w1, w2 = mu1 / top, mu2 / top
     if w2 > w1:
         swapped_rho = None if rho is None else NoiseCorrelation(rho.rho2, rho.rho1)
-        swapped_starts = tuple((_swap_slots(s), swap_allocation(a)) for s, a in extra_starts)
         best, evals = _solve(scheme, _swap_gains(g), PowerBudget(budget.p2, budget.p1),
-                             swapped_rho, w2, w1, swapped_starts)
+                             swapped_rho, w2, w1)
         slots, alloc = _swap_slots(best.slots), swap_allocation(best.allocation)
         vertex = (best.vertex[1], best.vertex[0])
     else:
-        best, evals = _solve(scheme, g, budget, rho, w1, w2, extra_starts)
+        best, evals = _solve(scheme, g, budget, rho, w1, w2)
         slots, alloc, vertex = best.slots, best.allocation, best.vertex
     return OptResult(scheme=scheme, mu=(mu1, mu2), slots=slots, allocation=alloc,
                      vertex=vertex, value=mu1 * vertex[0] + mu2 * vertex[1],
@@ -747,8 +737,7 @@ def optimize_scheme(g: ChannelGains, budget: PowerBudget, scheme: str,
 
 
 def frontier(g: ChannelGains, budget: PowerBudget, scheme: str, weight_count: int,
-             cfg: SearchConfig, rho: Optional[NoiseCorrelation] = None,
-             extra_starts: Sequence = ()) -> FrontierResult:
+             cfg: SearchConfig, rho: Optional[NoiseCorrelation] = None) -> FrontierResult:
     """Trace the weighted-sum frontier over angularly spaced weight directions
     mu = (cos t, sin t), t in [0, pi/2], and hull the best vertices."""
     _check(isinstance(weight_count, numbers.Integral) and not isinstance(weight_count, bool),
@@ -758,7 +747,6 @@ def frontier(g: ChannelGains, budget: PowerBudget, scheme: str, weight_count: in
     for i in range(weight_count):
         theta = 0.5 * math.pi * i / (weight_count - 1)
         mu = (math.cos(theta), math.sin(theta))
-        results.append(optimize_scheme(g, budget, scheme, mu, cfg, rho=rho,
-                                       extra_starts=extra_starts))
+        results.append(optimize_scheme(g, budget, scheme, mu, cfg, rho=rho))
     hull = upper_hull([r.vertex for r in results])
     return FrontierResult(scheme=scheme, points=tuple(results), hull=hull)

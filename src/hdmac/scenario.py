@@ -82,15 +82,25 @@ def _take(node: dict, where: str, allowed, required=()):
         raise ScenarioError(f"{where}: missing keys {missing}")
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _num(node: dict, where: str, key: str, default=None) -> float:
     if key not in node:
         if default is None:
             raise ScenarioError(f"{where}.{key}: missing")
         return default
     v = node[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(v):
         raise ScenarioError(f"{where}.{key}: expected a number, got {v!r}")
     return float(v)
+
+
+def _numbers(v, where: str) -> list:
+    if not isinstance(v, list) or not all(_is_number(x) for x in v):
+        raise ScenarioError(f"{where}: expected a list of numbers, got {v!r}")
+    return [float(x) for x in v]
 
 
 def _int(node: dict, where: str, key: str, default: int) -> int:
@@ -231,15 +241,20 @@ def _parse_m_user(node, where: str) -> MUserSection:
     m = node["m"]
     if not isinstance(m, int) or isinstance(m, bool):
         raise ScenarioError(f"{where}.m: expected an integer, got {m!r}")
+    k_user = node["k_user"]
+    if not isinstance(k_user, list):
+        raise ScenarioError(f"{where}.k_user: expected a list of lists of numbers, got {k_user!r}")
+    lists = {key: _numbers(node[key], f"{where}.{key}")
+             for key in ("k_dest", "budgets", "slots", "p_solo", "p_priv", "p_coop")}
     gains = _wrap(f"{where}", lambda: MUserGains(
-        m=m, k_user=node["k_user"], k_dest=node["k_dest"], noise=_num(node, where, "noise")))
+        m=m, k_user=[_numbers(row, f"{where}.k_user") for row in k_user],
+        k_dest=lists["k_dest"], noise=_num(node, where, "noise")))
     alloc = _wrap(f"{where}", lambda: MUserAllocation(
-        slots=node["slots"], p_solo=node["p_solo"], p_priv=node["p_priv"],
-        p_coop=node["p_coop"]))
-    budgets = node["budgets"]
-    if not isinstance(budgets, list) or len(budgets) != m:
+        slots=lists["slots"], p_solo=lists["p_solo"], p_priv=lists["p_priv"],
+        p_coop=lists["p_coop"]))
+    if len(lists["budgets"]) != m:
         raise ScenarioError(f"{where}.budgets: expected a list of {m} powers")
-    return MUserSection(gains, alloc, tuple(float(b) for b in budgets))
+    return MUserSection(gains, alloc, tuple(lists["budgets"]))
 
 
 _TOP_KEYS = ("name", "gains", "budget", "slots", "pdf_allocation", "df_allocation",
@@ -263,15 +278,9 @@ def parse_scenario(text: str) -> Scenario:
 
     sweep = None
     if "sweep" in doc:
-        raw = doc["sweep"]
-        if not isinstance(raw, list) or not raw:
-            raise ScenarioError("scenario.sweep: expected a non-empty list of gains")
-        vals = []
-        for v in raw:
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0:
-                raise ScenarioError(f"scenario.sweep: entries must be numbers >= 0, got {v!r}")
-            vals.append(float(v))
-        sweep = tuple(vals)
+        sweep = tuple(_numbers(doc["sweep"], "scenario.sweep"))
+        if not sweep or min(sweep) < 0:
+            raise ScenarioError("scenario.sweep: expected a non-empty list of gains >= 0")
 
     flag = doc.get("separate_literal_p1", False)
     if not isinstance(flag, bool):

@@ -1,10 +1,10 @@
 """Executable verdicts for the structural claims about the Gaussian regions.
 
 Each verify_* operation checks one claim on a concrete scenario and returns
-a Verdict with a quantified worst slack and a replayable witness.  Claims
-that compare two optimized frontiers cross-seed each optimizer with the
-other's best points (mapped between schemes where needed), so coincidence
-checks measure the regions rather than where independent solves stop.
+a Verdict with a quantified worst slack and a replayable witness.  Every
+weight direction of a frontier is one independent solve.  Hulls traced from
+finitely many directions are inner approximations, so claims that compare
+two regions' hulls also evaluate each region at the other scheme's optima.
 """
 
 from __future__ import annotations
@@ -114,6 +114,12 @@ def df_to_pdf_allocation(a: DfAllocation, empty: str) -> PdfAllocation:
     raise ValidationError(f"empty must be 'u' or 'v', got {empty!r}")
 
 
+def _cross(region, points) -> list:
+    """Best vertex of region(slots, allocation) at each optimum's direction."""
+    return [weighted_best_vertex(polygon_from_constraints(region(r.slots, r.allocation)),
+                                 r.mu)[0] for r in points]
+
+
 def _region_vertex_slack(region, vertex) -> float:
     poly = polygon_from_constraints(region)
     return point_slack(poly.vertices, vertex)
@@ -126,7 +132,7 @@ def verify_pdf_df_equivalence(g: ChannelGains, budget: PowerBudget, cfg: SearchC
     feasibility or objective."""
     fr_pdf = frontier(g, budget, "PDF_JOINT", weight_count, cfg)
     forward = [(r.slots, pdf_to_df_allocation(r.allocation)) for r in fr_pdf.points]
-    fr_df = frontier(g, budget, "DF", weight_count, cfg, extra_starts=forward)
+    fr_df = frontier(g, budget, "DF", weight_count, cfg)
 
     max_gap = 0.0
     gap_witness = None
@@ -236,21 +242,16 @@ def verify_achievable_in_outer(g: ChannelGains, budget: PowerBudget, cfg: Search
     """The optimized decode-forward hull sits inside the optimized outer hull;
     also reports the equal-weight sum-rate gap between them."""
     fr_df = frontier(g, budget, "DF", weight_count, cfg)
-    seeds = [(r.slots, r.allocation) for r in fr_df.points]
-    fr_out = frontier(g, budget, "OUTER", weight_count, cfg, extra_starts=seeds)
+    fr_out = frontier(g, budget, "OUTER", weight_count, cfg)
     # the outer region at each decode-forward optimum covers that optimum's
-    # vertex, so the hull comparison reflects the regions rather than where
-    # the two solves happened to stop
-    cross = []
-    for r in fr_df.points:
-        poly = polygon_from_constraints(gaussian_outer_region(g, r.slots, r.allocation))
-        cross.append(weighted_best_vertex(poly, r.mu)[0])
+    # vertex; the sampled outer hull alone is an inner approximation that can
+    # miss it
+    cross = _cross(lambda s, a: gaussian_outer_region(g, s, a), fr_df.points)
     hull_out = upper_hull([r.vertex for r in fr_out.points] + cross)
     ok, worst = region_contains(hull_out, fr_df.hull, HULL_TOL)
 
     r_df = optimize_scheme(g, budget, "DF", (1.0, 1.0), cfg)
-    r_out = optimize_scheme(g, budget, "OUTER", (1.0, 1.0), cfg,
-                            extra_starts=[(r_df.slots, r_df.allocation)])
+    r_out = optimize_scheme(g, budget, "OUTER", (1.0, 1.0), cfg)
     gap = r_out.value - r_df.value
     witness = {
         "df_hull": [list(v) for v in fr_df.hull.vertices],
@@ -292,21 +293,12 @@ def verify_degraded_capacity(g: ChannelGains, budget: PowerBudget, cfg: SearchCo
                        "rho1": rho.rho1, "rho2": rho.rho2}
 
     fr_df = frontier(g, budget, "DF", weight_count, cfg)
-    seeds = [(r.slots, r.allocation) for r in fr_df.points]
-    fr_deg = frontier(g, budget, "DEGRADED", weight_count, cfg, rho=rho,
-                      extra_starts=seeds)
+    fr_deg = frontier(g, budget, "DEGRADED", weight_count, cfg, rho=rho)
     # evaluate each frontier's optima under the other region so both hulls
     # cover the union of evaluated allocations; any pointwise difference
     # between the regions would surface here
-    cross_df = []
-    cross_deg = []
-    for r in fr_deg.points:
-        poly = polygon_from_constraints(df_region(g, r.slots, r.allocation))
-        cross_df.append(weighted_best_vertex(poly, r.mu)[0])
-    for r in fr_df.points:
-        poly = polygon_from_constraints(
-            degraded_outer_region(g, r.slots, r.allocation, rho))
-        cross_deg.append(weighted_best_vertex(poly, r.mu)[0])
+    cross_df = _cross(lambda s, a: df_region(g, s, a), fr_deg.points)
+    cross_deg = _cross(lambda s, a: degraded_outer_region(g, s, a, rho), fr_df.points)
     hull_df = upper_hull([r.vertex for r in fr_df.points] + cross_df)
     hull_deg = upper_hull([r.vertex for r in fr_deg.points] + cross_deg)
     ok1, s1 = region_contains(hull_df, hull_deg, HULL_TOL)
@@ -346,8 +338,7 @@ def verify_full_vs_partial_user_decoding(g: ChannelGains, budget: PowerBudget,
                 witness = {"slots": _slots_dict(slots), "allocation": asdict(alloc)}
 
     fr_full = frontier(g, budget, "PDF_JOINT", weight_count, cfg)
-    seeds = [(r.slots, r.allocation) for r in fr_full.points]
-    fr_part = frontier(g, budget, "PDF_PARTIAL", weight_count, cfg, extra_starts=seeds)
+    fr_part = frontier(g, budget, "PDF_PARTIAL", weight_count, cfg)
     max_gap = max(abs(a.value - b.value) for a, b in zip(fr_full.points, fr_part.points))
 
     passed = (not containment_applicable or worst >= -CONTAIN_TOL) and max_gap <= FRONTIER_TOL

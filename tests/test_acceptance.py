@@ -142,7 +142,7 @@ def test_criterion_3_pdf_df_equivalence():
         g = gains(2.0)
         fr_pdf = frontier(g, BUDGET, "PDF_JOINT", 17, CFG)
         forward = [(r.slots, pdf_to_df_allocation(r.allocation)) for r in fr_pdf.points]
-        fr_df = frontier(g, BUDGET, "DF", 17, CFG, extra_starts=forward)
+        fr_df = frontier(g, BUDGET, "DF", 17, CFG)
         max_gap = max(abs(a.value - b.value)
                       for a, b in zip(fr_pdf.points, fr_df.points))
         feas_err = 0.0
@@ -197,8 +197,7 @@ def test_criterion_5_tightness_trend():
         for k in (2.0, 4.0, 8.0, 16.0):
             g = gains(k)
             r_df = optimize_scheme(g, BUDGET, "DF", (1.0, 1.0), CFG)
-            r_out = optimize_scheme(g, BUDGET, "OUTER", (1.0, 1.0), CFG,
-                                    extra_starts=[(r_df.slots, r_df.allocation)])
+            r_out = optimize_scheme(g, BUDGET, "OUTER", (1.0, 1.0), CFG)
             gap.append(r_out.value - r_df.value)
         ok = all(a > b for a, b in zip(gap, gap[1:])) and all(v >= -1e-9 for v in gap)
     _report(5, "outer-vs-DF sum-rate gap strictly decreasing over "

@@ -245,6 +245,33 @@ class TestMain:
         assert main(["region", "--scenario", str(scenario)]) == 2
         assert "bogus_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("k_dest", '["abc", 1.0, 1.0]'), ("k_dest", "3"),
+                                            ("p_solo", "null"), ("budgets", "[true, 2.0, 2.0]")])
+    def test_bad_m_user_entry_exit_two(self, tmp_path, capsys, key, value):
+        lines = [f"  {key}: {value}" if line.startswith(f"  {key}:") else line
+                 for line in MUSER_DOC.splitlines()]
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["muser", "--scenario", str(scenario), "--out", str(tmp_path)]) == 2
+        assert f"error: scenario.m_user.{key}:" in capsys.readouterr().err
+
+    def test_verify_uses_weights_for_every_claim(self, tmp_path, monkeypatch):
+        import hdmac.verify
+
+        seen = []
+        real = hdmac.verify.frontier
+
+        def spy(g, budget, scheme, weight_count, *args, **kwargs):
+            seen.append((scheme, weight_count))
+            return real(g, budget, scheme, weight_count, *args, **kwargs)
+
+        monkeypatch.setattr(hdmac.verify, "frontier", spy)
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(PENTAGON_DOC, encoding="utf-8")
+        main(["verify", "--scenario", str(scenario), "--out", str(tmp_path), "--weights", "3"])
+        assert ("PDF_PARTIAL", 3) in seen
+        assert all(count == 3 for _, count in seen), seen
+
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["region", "--scenario", str(tmp_path / "nope.yaml")]) == 2
 

@@ -70,6 +70,21 @@ class TestTypes:
         with pytest.raises(ValidationError):
             PowerBudget(0.0, 1.0)
 
+    @pytest.mark.parametrize("value, accepted", [
+        (2.0, True), (2, True), (np.float64(2.0), True), (np.float32(2.0), True),
+        (np.int64(2), True), (True, False), (np.bool_(True), False), ("2.0", False),
+        (None, False), (math.nan, False), (np.float64(math.inf), False),
+    ], ids=repr)
+    def test_real_numbers_accepted_bool_rejected(self, value, accepted):
+        if accepted:
+            assert ChannelGains(value, 2.0, 1.0, 1.0, 1.0).k12 == 2.0
+            assert PowerBudget(1.0, value).p2 == 2.0
+        else:
+            with pytest.raises(ValidationError, match="ChannelGains.k12"):
+                ChannelGains(value, 2.0, 1.0, 1.0, 1.0)
+            with pytest.raises(ValidationError, match="PowerBudget.p2"):
+                PowerBudget(1.0, value)
+
     def test_linear_region_nonempty_finite(self):
         with pytest.raises(ValidationError):
             LinearRegion((), (1.0,), (1.0,))

@@ -57,6 +57,21 @@ class TestTypes:
         with pytest.raises(ValidationError):
             MUserAllocation((0.25, 0.25, 0.5), (1.0, -0.1), (1.0, 1.0), (0.0, 0.0))
 
+    @pytest.mark.parametrize("bad", ["abc", ("abc", 1.0), 3, None, (True, 1.0), ("2.0", 1.0)])
+    def test_malformed_entries_raise_validation_error(self, bad):
+        with pytest.raises(ValidationError, match="MUserGains.k_dest"):
+            MUserGains(m=2, k_user=((0.0, 2.0), (2.0, 0.0)), k_dest=bad, noise=1.0)
+        with pytest.raises(ValidationError, match="MUserGains.k_user"):
+            MUserGains(m=2, k_user=(bad, (2.0, 0.0)), k_dest=(1.0, 1.0), noise=1.0)
+        with pytest.raises(ValidationError, match="MUserAllocation.p_solo"):
+            MUserAllocation((0.2, 0.2, 0.6), bad, (1.0, 1.0), (1.0, 1.0))
+
+    def test_numpy_entries_accepted(self):
+        g = MUserGains(m=2, k_user=np.array([[0.0, 2.0], [2.0, 0.0]]),
+                       k_dest=(np.float64(1.0), np.float32(1.0)), noise=1.0)
+        assert g.k_user == ((0.0, 2.0), (2.0, 0.0)) and g.k_dest == (1.0, 1.0)
+        assert all(type(v) is float for v in g.k_dest)
+
     def test_power_identity_enforced(self):
         gains, alloc, budgets = two_user_instance()
         muser_achievable_constraints(gains, alloc, budgets)  # exact identity

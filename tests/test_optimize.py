@@ -45,6 +45,7 @@ from hdmac.optimize import (
     _dual_caps,
     _unit_cube_allocation,
 )
+from hdmac.verify import verify_achievable_in_outer
 
 SYM = ChannelGains(2.0, 2.0, 1.0, 1.0, 1.0)
 BUDGET = PowerBudget(2.0, 2.0)
@@ -249,14 +250,6 @@ class TestOptimizeScheme:
     def test_unknown_scheme(self):
         with pytest.raises(ValidationError):
             optimize_scheme(SYM, BUDGET, "CF", (1.0, 1.0), FAST)
-
-    def test_extra_starts_never_hurt(self):
-        rng = random.Random(0)
-        starts = [sample_allocation("DF", SYM, BUDGET, rng) for _ in range(3)]
-        base = optimize_scheme(SYM, BUDGET, "DF", (1.0, 1.0), FAST)
-        seeded = optimize_scheme(SYM, BUDGET, "DF", (1.0, 1.0), FAST,
-                                 extra_starts=starts)
-        assert seeded.value >= base.value - 1e-12
 
 
 @st.composite
@@ -516,12 +509,19 @@ class TestFrontier:
         ok, slack = region_contains(base, fr.hull, 1e-3)
         assert ok, slack
 
-    def test_outer_contains_df_at_every_direction(self):
-        fr_df = frontier(SYM, BUDGET, "DF", 5, FAST)
-        fr_out = frontier(SYM, BUDGET, "OUTER", 5, FAST,
-                          extra_starts=[(r.slots, r.allocation) for r in fr_df.points])
+    @pytest.mark.parametrize("g, budget, count", [
+        (SYM, BUDGET, 5),
+        # OUTER beats DF by >= 2e-2 in every direction, yet the hull of the
+        # three OUTER optima misses a DF vertex by 1.8e-2: the verdict needs
+        # its cross points
+        (ChannelGains(0.971, 0.453, 1.953, 0.217, 1.0), PowerBudget(2.819, 2.019), 3),
+    ], ids=["symmetric", "sparse_directions"])
+    def test_outer_contains_df_at_every_direction(self, g, budget, count):
+        fr_df = frontier(g, budget, "DF", count, FAST)
+        fr_out = frontier(g, budget, "OUTER", count, FAST)
         for a, b in zip(fr_df.points, fr_out.points):
             assert b.value >= a.value - 1e-9
+        assert verify_achievable_in_outer(g, budget, FAST, count).passed
 
     def test_dead_channel_hull_is_origin(self):
         g = ChannelGains(0.0, 0.0, 0.0, 0.0, 1.0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,20 @@ dmc:
     pmf_x23_given_uv:
       dims: [u, v, x23]
       table: [[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]]
+"""
+
+
+M_USER = """
+m_user:
+  m: 2
+  k_user: [[0.0, 2.0], [2.0, 0.0]]
+  k_dest: [1.0, 1.0]
+  noise: 1.0
+  budgets: [2.0, 2.0]
+  slots: [0.2, 0.2, 0.6]
+  p_solo: [4.0, 4.0]
+  p_priv: [1.0, 1.0]
+  p_coop: [1.0, 1.0]
 """
 
 
@@ -127,21 +143,22 @@ class TestParsing:
         assert "dims" in str(err.value)
 
     def test_m_user_section(self):
-        doc = MINIMAL + """
-m_user:
-  m: 2
-  k_user: [[0.0, 2.0], [2.0, 0.0]]
-  k_dest: [1.0, 1.0]
-  noise: 1.0
-  budgets: [2.0, 2.0]
-  slots: [0.2, 0.2, 0.6]
-  p_solo: [4.0, 4.0]
-  p_priv: [1.0, 1.0]
-  p_coop: [1.0, 1.0]
-"""
-        sc = parse_scenario(doc)
+        sc = parse_scenario(MINIMAL + M_USER)
         assert sc.m_user.gains.m == 2
         assert sc.m_user.budgets == (2.0, 2.0)
+
+    @pytest.mark.parametrize("bad", ['"abc"', "true", '"2.0"', "null"])
+    @pytest.mark.parametrize("key, good", [
+        ("k_user", "[[0.0, 2.0], [2.0, 0.0]]"), ("k_dest", "[1.0, 1.0]"),
+        ("budgets", "[2.0, 2.0]"), ("slots", "[0.2, 0.2, 0.6]"), ("p_solo", "[4.0, 4.0]"),
+        ("p_priv", "[1.0, 1.0]"), ("p_coop", "[1.0, 1.0]"),
+    ])
+    def test_m_user_bad_entry_names_key(self, key, good, bad):
+        # the first entry replaced, then the whole list replaced by the scalar
+        for value in (re.sub(r"[0-9.]+", bad, good, count=1), bad):
+            doc = MINIMAL + M_USER.replace(f"{key}: {good}", f"{key}: {value}")
+            with pytest.raises(ScenarioError, match=f"scenario.m_user.{key}:"):
+                parse_scenario(doc)
 
 
 class TestRoundTrip:
