@@ -33,14 +33,25 @@ def _check(cond: bool, msg: str) -> None:
 
 
 def _finite(x: float) -> bool:
-    """True for a finite real number, numpy scalars included, bool excluded."""
-    if isinstance(x, float) or type(x) is int:
+    """True for a finite real number, numpy scalars included, bool excluded;
+    False for an integer too large for a float."""
+    if not isinstance(x, float) and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
+        return False
+    try:
         return math.isfinite(x)
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
-def _nonneg(value: float, name: str) -> None:
-    _check(_finite(value) and value >= 0.0, f"{name} must be finite and >= 0, got {value!r}")
+def _real_fields(obj, names, positive: bool = False) -> None:
+    """Check that each field is finite and >= 0 (> 0 if positive), and store
+    it as a Python float, so numpy scalars compute in double precision."""
+    for name in names:
+        v = getattr(obj, name)
+        if not (_finite(v) and (v > 0.0 if positive else v >= 0.0)):
+            rule = "> 0" if positive else "finite and >= 0"
+            raise ValidationError(f"{type(obj).__name__}.{name} must be {rule}, got {v!r}")
+        object.__setattr__(obj, name, float(v))
 
 
 @dataclass(frozen=True)
@@ -60,10 +71,8 @@ class ChannelGains:
     noise: float
 
     def __post_init__(self) -> None:
-        for name in ("k12", "k21", "k10", "k20"):
-            _nonneg(getattr(self, name), f"ChannelGains.{name}")
-        _check(_finite(self.noise) and self.noise > 0.0,
-               f"ChannelGains.noise must be > 0, got {self.noise!r}")
+        _real_fields(self, ("k12", "k21", "k10", "k20"))
+        _real_fields(self, ("noise",), positive=True)
 
 
 @dataclass(frozen=True)
@@ -75,8 +84,7 @@ class TimeSlots:
     a3: float
 
     def __post_init__(self) -> None:
-        for name in ("a1", "a2", "a3"):
-            _nonneg(getattr(self, name), f"TimeSlots.{name}")
+        _real_fields(self, ("a1", "a2", "a3"))
         total = self.a1 + self.a2 + self.a3
         _check(abs(total - 1.0) <= SLOT_SUM_TOL,
                f"TimeSlots: a1 + a2 + a3 must equal 1 within {SLOT_SUM_TOL}, got {total!r}")
@@ -111,8 +119,7 @@ class PdfAllocation:
     d3: float
 
     def __post_init__(self) -> None:
-        for name in ("p10", "p20", "pu", "pv", "p13", "p23", "c2", "c3", "d2", "d3"):
-            _nonneg(getattr(self, name), f"PdfAllocation.{name}")
+        _real_fields(self, ("p10", "p20", "pu", "pv", "p13", "p23", "c2", "c3", "d2", "d3"))
 
 
 @dataclass(frozen=True)
@@ -132,8 +139,7 @@ class DfAllocation:
     ps2: float
 
     def __post_init__(self) -> None:
-        for name in ("p12", "p21", "p13", "p23", "ps1", "ps2"):
-            _nonneg(getattr(self, name), f"DfAllocation.{name}")
+        _real_fields(self, ("p12", "p21", "p13", "p23", "ps1", "ps2"))
 
 
 @dataclass(frozen=True)
@@ -144,8 +150,7 @@ class PowerBudget:
     p2: float
 
     def __post_init__(self) -> None:
-        _check(_finite(self.p1) and self.p1 > 0.0, f"PowerBudget.p1 must be > 0, got {self.p1!r}")
-        _check(_finite(self.p2) and self.p2 > 0.0, f"PowerBudget.p2 must be > 0, got {self.p2!r}")
+        _real_fields(self, ("p1", "p2"), positive=True)
 
 
 @dataclass(frozen=True)
@@ -162,8 +167,9 @@ class LinearRegion:
             object.__setattr__(self, name, vals)
             _check(len(vals) > 0, f"LinearRegion.{name} must be non-empty")
             for v in vals:
-                _check(_finite(v) and v >= 0.0,
-                       f"LinearRegion.{name} entries must be finite and >= 0, got {v!r}")
+                if not (_finite(v) and v >= 0.0):  # the message is built only on failure
+                    raise ValidationError(
+                        f"LinearRegion.{name} entries must be finite and >= 0, got {v!r}")
 
     @property
     def min_r1(self) -> float:

@@ -243,6 +243,28 @@ def _slot3_joint_uv(ch: SlotChannels, p_u, p_v, p13_uv, p23_uv) -> np.ndarray:
     return np.einsum("u,v,uvx,uvy,xyz->uvxyz", p_u, p_v, p13_uv, p23_uv, ch.slot3)
 
 
+def _joints(ch: SlotChannels, pmf_x10_u, pmf_x20_v, p13_uv, p23_uv):
+    """Slot-1, slot-2 and slot-3 joints of the inputs p(x10,u) p(x20,v)
+    p(x13|u,v) p(x23|u,v)."""
+    j1 = _slot1_joint(ch, pmf_x10_u)
+    j2 = _slot2_joint(ch, pmf_x20_v)
+    j3 = _slot3_joint_uv(ch, pmf_x10_u.sum(axis=0), pmf_x20_v.sum(axis=0), p13_uv, p23_uv)
+    return j1, j2, j3
+
+
+def _slot3_terms(j3: np.ndarray, a3: float):
+    """a3 times the slot-3 terms (X13, X23, UV, U, V, unconditioned) of a
+    (u, v, x13, x23, y3) joint; all zero for an empty slot."""
+    if a3 <= 0.0:
+        return (0.0,) * 6
+    return (a3 * _mi(j3, (2,), (4,), (0, 1, 3)),
+            a3 * _mi(j3, (3,), (4,), (0, 1, 2)),
+            a3 * _mi(j3, (2, 3), (4,), (0, 1)),
+            a3 * _mi(j3, (2, 3), (4,), (0,)),
+            a3 * _mi(j3, (2, 3), (4,), (1,)),
+            a3 * _mi(j3, (2, 3), (4,)))
+
+
 # ---------------------------------------------------------------------------
 # rate regions
 # ---------------------------------------------------------------------------
@@ -250,27 +272,16 @@ def _slot3_joint_uv(ch: SlotChannels, p_u, p_v, p13_uv, p23_uv) -> np.ndarray:
 def pdf_joint_region(ch: SlotChannels, dist: PdfInputDistribution,
                      slots: TimeSlots) -> LinearRegion:
     """Superposition scheme, joint decoding at the destination."""
-    a1, a2, a3 = slots.a1, slots.a2, slots.a3
-    j1 = _slot1_joint(ch, dist.pmf_x10_u)
-    j2 = _slot2_joint(ch, dist.pmf_x20_v)
-    p_u = dist.pmf_x10_u.sum(axis=0)
-    p_v = dist.pmf_x20_v.sum(axis=0)
-    j3 = _slot3_joint_uv(ch, p_u, p_v, dist.pmf_x13_given_uv, dist.pmf_x23_given_uv)
+    a1, a2 = slots.a1, slots.a2
+    j1, j2, j3 = _joints(ch, dist.pmf_x10_u, dist.pmf_x20_v,
+                         dist.pmf_x13_given_uv, dist.pmf_x23_given_uv)
 
     i_x10_y12 = a1 * _mi(j1, (0,), (3,)) if a1 > 0.0 else 0.0
     i_x10_y1 = a1 * _mi(j1, (0,), (2,)) if a1 > 0.0 else 0.0
     i_x20_y21 = a2 * _mi(j2, (0,), (3,)) if a2 > 0.0 else 0.0
     i_x20_y2 = a2 * _mi(j2, (0,), (2,)) if a2 > 0.0 else 0.0
 
-    if a3 > 0.0:
-        t_x13 = a3 * _mi(j3, (2,), (4,), (0, 1, 3))
-        t_x23 = a3 * _mi(j3, (3,), (4,), (0, 1, 2))
-        t_uv = a3 * _mi(j3, (2, 3), (4,), (0, 1))
-        t_u = a3 * _mi(j3, (2, 3), (4,), (0,))
-        t_v = a3 * _mi(j3, (2, 3), (4,), (1,))
-        t_all = a3 * _mi(j3, (2, 3), (4,))
-    else:
-        t_x13 = t_x23 = t_uv = t_u = t_v = t_all = 0.0
+    t_x13, t_x23, t_uv, t_u, t_v, t_all = _slot3_terms(j3, slots.a3)
 
     r1 = i_x10_y12 + t_x13
     r2 = i_x20_y21 + t_x23
@@ -284,27 +295,16 @@ def pdf_joint_region(ch: SlotChannels, dist: PdfInputDistribution,
 def pdf_separate_region(ch: SlotChannels, dist: PdfInputDistribution,
                         slots: TimeSlots) -> LinearRegion:
     """Superposition scheme, slot-by-slot decoding at the destination."""
-    a1, a2, a3 = slots.a1, slots.a2, slots.a3
-    j1 = _slot1_joint(ch, dist.pmf_x10_u)
-    j2 = _slot2_joint(ch, dist.pmf_x20_v)
-    p_u = dist.pmf_x10_u.sum(axis=0)
-    p_v = dist.pmf_x20_v.sum(axis=0)
-    j3 = _slot3_joint_uv(ch, p_u, p_v, dist.pmf_x13_given_uv, dist.pmf_x23_given_uv)
+    a1, a2 = slots.a1, slots.a2
+    j1, j2, j3 = _joints(ch, dist.pmf_x10_u, dist.pmf_x20_v,
+                         dist.pmf_x13_given_uv, dist.pmf_x23_given_uv)
 
     i_x10_y12 = a1 * _mi(j1, (0,), (3,)) if a1 > 0.0 else 0.0
     i_x20_y21 = a2 * _mi(j2, (0,), (3,)) if a2 > 0.0 else 0.0
     m1 = a1 * min(_mi(j1, (0,), (3,), (1,)), _mi(j1, (0,), (2,), (1,))) if a1 > 0.0 else 0.0
     m2 = a2 * min(_mi(j2, (0,), (3,), (1,)), _mi(j2, (0,), (2,), (1,))) if a2 > 0.0 else 0.0
 
-    if a3 > 0.0:
-        t_x13 = a3 * _mi(j3, (2,), (4,), (0, 1, 3))
-        t_x23 = a3 * _mi(j3, (3,), (4,), (0, 1, 2))
-        t_uv = a3 * _mi(j3, (2, 3), (4,), (0, 1))
-        t_u = a3 * _mi(j3, (2, 3), (4,), (0,))
-        t_v = a3 * _mi(j3, (2, 3), (4,), (1,))
-        t_all = a3 * _mi(j3, (2, 3), (4,))
-    else:
-        t_x13 = t_x23 = t_uv = t_u = t_v = t_all = 0.0
+    t_x13, t_x23, t_uv, t_u, t_v, t_all = _slot3_terms(j3, slots.a3)
 
     r1 = i_x10_y12 + t_x13
     r2 = i_x20_y21 + t_x23
@@ -357,9 +357,7 @@ def outer_region(variant: str, ch: SlotChannels, dist: OuterInputDistribution,
     and only four caps remain.
     """
     _check(variant in ("pdf", "df"), f"unknown outer variant {variant!r}")
-    a1, a2, a3 = slots.a1, slots.a2, slots.a3
-    j1 = _slot1_joint(ch, dist.pmf_x10_u)
-    j2 = _slot2_joint(ch, dist.pmf_x20_v)
+    a1, a2 = slots.a1, slots.a2
     p_u = dist.pmf_x10_u.sum(axis=0)
     p_v = dist.pmf_x20_v.sum(axis=0)
     # p(u, v, x13, x23) marginalizes the slot-1/2 inputs out of the
@@ -368,22 +366,14 @@ def outer_region(variant: str, ch: SlotChannels, dist: OuterInputDistribution,
     p_x20_given_v = dist.pmf_x20_v / np.where(p_v > 0.0, p_v, 1.0)[None, :]
     p13_uv = np.einsum("xu,uvxa->uva", p_x10_given_u, dist.pmf_x13_given_uvx10)
     p23_uv = np.einsum("xv,uvxa->uva", p_x20_given_v, dist.pmf_x23_given_uvx20)
-    j3 = _slot3_joint_uv(ch, p_u, p_v, p13_uv, p23_uv)
+    j1, j2, j3 = _joints(ch, dist.pmf_x10_u, dist.pmf_x20_v, p13_uv, p23_uv)
 
     i_joint1 = a1 * _mi(j1, (0,), (2, 3)) if a1 > 0.0 else 0.0
     i_y1 = a1 * _mi(j1, (0,), (2,)) if a1 > 0.0 else 0.0
     i_joint2 = a2 * _mi(j2, (0,), (2, 3)) if a2 > 0.0 else 0.0
     i_y2 = a2 * _mi(j2, (0,), (2,)) if a2 > 0.0 else 0.0
 
-    if a3 > 0.0:
-        t_x13 = a3 * _mi(j3, (2,), (4,), (0, 1, 3))
-        t_x23 = a3 * _mi(j3, (3,), (4,), (0, 1, 2))
-        t_uv = a3 * _mi(j3, (2, 3), (4,), (0, 1))
-        t_u = a3 * _mi(j3, (2, 3), (4,), (0,))
-        t_v = a3 * _mi(j3, (2, 3), (4,), (1,))
-        t_all = a3 * _mi(j3, (2, 3), (4,))
-    else:
-        t_x13 = t_x23 = t_uv = t_u = t_v = t_all = 0.0
+    t_x13, t_x23, t_uv, t_u, t_v, t_all = _slot3_terms(j3, slots.a3)
 
     r1 = i_joint1 + t_x13
     r2 = i_joint2 + t_x23

@@ -1,16 +1,17 @@
 """Closed-form Gaussian rate regions and outer bounds.
 
-This module is the single source of every region formula.  There is one
-kernel per scheme family: ``pdf_caps`` for the superposition schemes
-(PDF_JOINT, PDF_SEPARATE, PDF_PARTIAL) and ``df_caps`` for decode-forward and
-its outer bounds (DF, OUTER, DEGRADED, which differ only in the effective
-inter-user gains built by ``df_gains`` and in whether the two middle sum caps
-are dropped).  A kernel maps slot fractions and per-slot powers to
-(R1 cap, R2 cap, sum caps).  It uses only addition, subtraction, scaling by
-constants and three primitives passed in as ``ops = (term, gmean, min)``,
-where ``term(alpha, num, noise)`` is alpha * C(num / noise), ``gmean(x, y)``
-is sqrt(x * y) and ``min`` takes two arguments, so the same source runs on
-Python floats and on dual numbers:
+This module is the single source of every region formula, held in two
+kernels: ``pdf_caps`` for the superposition schemes (PDF_JOINT,
+PDF_SEPARATE, PDF_PARTIAL) and ``muser_caps`` for m-user decode-forward.
+``df_caps`` is ``muser_caps`` at m = 2 and only selects caps: DF and its
+outer bounds OUTER and DEGRADED differ only in the effective inter-user
+gains built by ``df_gains`` and in whether the two middle sum caps are
+dropped.  A kernel maps slot fractions and per-slot powers to caps.  It
+uses only addition, subtraction, scaling by constants and three primitives
+passed in as ``ops = (term, gmean, min)``, where ``term(alpha, num, noise)``
+is alpha * C(num / noise), ``gmean(x, y)`` is sqrt(x * y) and ``min`` takes
+two arguments, so the same source runs on Python floats, numpy arrays and
+dual numbers:
 
 - ``CHECKED_OPS`` validate their arguments; the ``*_region`` functions use
   them and return a LinearRegion (one R1 cap, one R2 cap, the sum caps in the
@@ -23,8 +24,8 @@ Python floats and on dual numbers:
 A slot of zero length contributes exactly zero regardless of the allocation,
 so boundary slot splits are safe.
 
-The decode-forward coherent term is
-    K10^2 (P13 + PS1) + K20^2 (P23 + PS2) + 2 K10 K20 sqrt(PS1 PS2),
+The decode-forward coherent term is, with Kk the destination gains,
+    sum_k Kk^2 (p_priv[k] + p_coop[k]) + 2 sum_{i<j} Ki Kj sqrt(p_coop[i] p_coop[j]),
 and the superposition scheme's fully coherent sum cap uses
     PU (K10 sqrt(c2) + K20 sqrt(d3))^2 + PV (K10 sqrt(c3) + K20 sqrt(d2))^2.
 """
@@ -43,6 +44,8 @@ from .core import (
     RatePolygon,
     TimeSlots,
     ValidationError,
+    _check,
+    _finite,
     c_gauss,
     polygon_from_constraints,
 )
@@ -61,8 +64,9 @@ class NoiseCorrelation:
     def __post_init__(self) -> None:
         for name in ("rho1", "rho2"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and abs(v) <= 1.0):
-                raise ValidationError(f"NoiseCorrelation.{name} must lie in [-1, 1], got {v!r}")
+            _check(_finite(v) and abs(v) <= 1.0,
+                   f"NoiseCorrelation.{name} must lie in [-1, 1], got {v!r}")
+            object.__setattr__(self, name, float(v))
 
 
 def _gmean(x: float, y: float) -> float:
@@ -93,10 +97,12 @@ def dual_term(alpha, num, noise: float):
     numpy does componentwise, so only the primitives need the chain rule.
     alpha[0] must be > 0: a caller that differentiates floors its slots.
     """
-    x = num[0] / noise
+    # Python floats: the IEEE arithmetic of numpy scalars, at less cost
+    a0 = alpha.item(0)
+    x = num.item(0) / noise
     c = 0.5 * math.log1p(x) / _LN2
-    out = alpha * c + num * (0.5 * alpha[0] / ((1.0 + x) * noise * _LN2))
-    out[0] = alpha[0] * c
+    out = alpha * c + num * (0.5 * a0 / ((1.0 + x) * noise * _LN2))
+    out[0] = a0 * c
     return out
 
 
@@ -230,31 +236,59 @@ def df_gains(scheme: str, g: ChannelGains, rho: NoiseCorrelation | None = None):
     return e12, e21, g.k10, g.k20, g.noise
 
 
+def muser_caps(gains, slots, powers, ops):
+    """Caps (subset caps, total caps) of m-user decode-forward.
+
+    ``gains`` are (credited, dest, noise): each user's credited squared gain
+    in its own slot, the destination amplitudes and the noise; ``slots`` are
+    (a_1, ..., a_m, a_last) and ``powers`` (p_solo, p_priv, p_coop).  Subset
+    cap s (masks 1 ... 2^m - 1) bounds the sum rate of the users in s; total
+    cap s (masks 0 ... 2^m - 1) the total sum rate, the users in s credited
+    their gain and the rest their direct link."""
+    term, gmean, _ = ops
+    credited, dest, n = gains
+    p_solo, p_priv, p_coop = powers
+    a_last = slots[-1]
+    # Entry i of solo and priv sums over the users in mask i + 1, and entry
+    # s of choice over all users, credited if in mask s and direct if not.
+    # User k extends each list by the masks that hold k, adding in ascending
+    # user order: the order of the two-user sums, whose every bit m = 2 keeps.
+    solo, priv, choice = [], [], []
+    for a, e, k, p, q in zip(slots, credited, dest, p_solo, p_priv):
+        t = term(a, e * p, n)
+        d = term(a, k * k * p, n)
+        r = k * k * q
+        size = len(solo)
+        solo.append(t)
+        priv.append(r)
+        for i in range(size):
+            solo.append(solo[i] + t)
+            priv.append(priv[i] + r)
+        choice = [x + d for x in choice] + [x + t for x in choice] if choice else [d, t]
+    coherent = priv[-1]
+    for k, c in zip(dest, p_coop):
+        coherent = coherent + k * k * c
+    for i in range(len(dest)):
+        for j in range(i + 1, len(dest)):
+            coherent = coherent + 2.0 * dest[i] * dest[j] * gmean(p_coop[i], p_coop[j])
+    last = term(a_last, coherent, n)
+    return [x + term(a_last, q, n) for x, q in zip(solo, priv)], [x + last for x in choice]
+
+
 def df_caps(scheme: str, gains, a1, a2, a3, powers, ops):
-    """Caps (r1, r2, sums) of DF, OUTER or DEGRADED.
+    """Caps (r1, r2, sums) of DF, OUTER or DEGRADED: muser_caps at m = 2.
 
     ``gains`` come from df_gains; ``powers`` are (p12, p21, p13, p23, ps1, ps2).
     The sums are (s1, s2, s3, s4) for DF; the outer bounds drop the two
     middle sum caps, which are redundant there, and return (s1, s4).
     """
-    term, gmean, _ = ops
     e12, e21, k10, k20, n = gains
     p12, p21, p13, p23, ps1, ps2 = powers
-    k10s = k10 * k10
-    k20s = k20 * k20
-    t12 = term(a1, e12 * p12, n)
-    t21 = term(a2, e21 * p21, n)
-    t10 = term(a1, k10s * p12, n)
-    t20 = term(a2, k20s * p21, n)
-    priv = k10s * p13 + k20s * p23
-    c_coh = term(a3, priv + k10s * ps1 + k20s * ps2 + 2.0 * k10 * k20 * gmean(ps1, ps2), n)
-    r1 = t12 + term(a3, k10s * p13, n)
-    r2 = t21 + term(a3, k20s * p23, n)
-    s1 = t12 + t21 + term(a3, priv, n)
-    s4 = t10 + t20 + c_coh
+    subset, total = muser_caps(((e12, e21), (k10, k20), n), (a1, a2, a3),
+                               ((p12, p21), (p13, p23), (ps1, ps2)), ops)
     if scheme != "DF":
-        return r1, r2, (s1, s4)
-    return r1, r2, (s1, t10 + t21 + c_coh, t12 + t20 + c_coh, s4)
+        return subset[0], subset[1], (subset[2], total[0])
+    return subset[0], subset[1], (subset[2], total[2], total[1], total[0])
 
 
 def _df_region(scheme: str, g: ChannelGains, slots: TimeSlots, a: DfAllocation,

@@ -9,15 +9,20 @@ Signal construction in the last slot, by direct generalization of the
 two-user decode-forward scheme: user k sends
 sqrt(p_priv[k]) * X_k + sqrt(p_coop[k]) * S with all components independent
 unit-variance Gaussian.
+
+The cap formulas live in ``gaussian.muser_caps``, whose m = 2 case is the
+two-user ``df_caps``; this module holds the types, their validation, the
+constraint descriptors and the link-condition check.  The two sides differ
+only in each user's credited gain in its own slot.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .core import POWER_TOL, ValidationError, _check, _finite, c_gauss
+from .core import POWER_TOL, ValidationError, _check, _finite
+from .gaussian import CHECKED_OPS, muser_caps
 
 MAX_USERS = 6
 
@@ -59,6 +64,7 @@ class MUserGains:
         _check(_finite(self.noise) and self.noise > 0.0, "MUserGains.noise must be > 0")
         object.__setattr__(self, "k_user", rows)
         object.__setattr__(self, "k_dest", dest)
+        object.__setattr__(self, "noise", float(self.noise))
 
 
 @dataclass(frozen=True)
@@ -108,74 +114,28 @@ def power_used(g: MUserGains, a: MUserAllocation) -> Tuple[float, ...]:
                  for k in range(g.m))
 
 
-def _solo_min_term(g: MUserGains, a: MUserAllocation, k: int) -> float:
-    """alpha_k * min_j C(k_user[k][j]^2 p_solo[k] / N): the weakest listener."""
-    alpha = a.slots[k]
-    if alpha <= 0.0:
-        return 0.0
-    gmin = min(g.k_user[k][j] for j in range(g.m) if j != k)
-    return alpha * c_gauss(gmin * gmin * a.p_solo[k] / g.noise)
-
-
-def _solo_joint_term(g: MUserGains, a: MUserAllocation, k: int) -> float:
-    """Outer-bound replacement: destination and all listeners observed jointly."""
-    alpha = a.slots[k]
-    if alpha <= 0.0:
-        return 0.0
-    tot = g.k_dest[k] ** 2 + sum(g.k_user[k][j] ** 2 for j in range(g.m) if j != k)
-    return alpha * c_gauss(tot * a.p_solo[k] / g.noise)
-
-
-def _solo_direct_term(g: MUserGains, a: MUserAllocation, k: int) -> float:
-    alpha = a.slots[k]
-    if alpha <= 0.0:
-        return 0.0
-    return alpha * c_gauss(g.k_dest[k] ** 2 * a.p_solo[k] / g.noise)
-
-
-def _last_subset_term(g: MUserGains, a: MUserAllocation, subset: Tuple[int, ...]) -> float:
-    alpha = a.slots[g.m]
-    if alpha <= 0.0:
-        return 0.0
-    snr = sum(g.k_dest[k] ** 2 * a.p_priv[k] for k in subset) / g.noise
-    return alpha * c_gauss(snr)
-
-
-def _last_total_term(g: MUserGains, a: MUserAllocation) -> float:
-    alpha = a.slots[g.m]
-    if alpha <= 0.0:
-        return 0.0
-    coherent = sum(g.k_dest[k] * math.sqrt(a.p_coop[k]) for k in range(g.m)) ** 2
-    snr = (sum(g.k_dest[k] ** 2 * a.p_priv[k] for k in range(g.m)) + coherent) / g.noise
-    return alpha * c_gauss(snr)
-
-
-def _subsets(m: int):
-    for mask in range(1 << m):
-        yield tuple(k for k in range(m) if mask & (1 << k))
+def _credited(g: MUserGains, outer: bool) -> Tuple[float, ...]:
+    """Each user's credited squared gain in its own slot: the weakest
+    listener's, or for the outer bound the destination and all listeners
+    observed jointly.  Written as df_gains writes K12^2 (DF) and K12^2 +
+    K10^2 (OUTER), so at m = 2 the caps equal df_region's bit for bit."""
+    listeners = [[g.k_user[k][j] for j in range(g.m) if j != k] for k in range(g.m)]
+    if outer:
+        return tuple(d * d + sum(v ** 2 for v in row) for d, row in zip(g.k_dest, listeners))
+    return tuple(min(row) ** 2 for row in listeners)
 
 
 Constraint = Tuple[Tuple[str, Tuple[int, ...]], float]
 
 
 def _constraints(g: MUserGains, a: MUserAllocation, budgets: Sequence[float],
-                 solo_term) -> List[Constraint]:
+                 outer: bool) -> List[Constraint]:
     _validate_instance(g, a, budgets)
-    out: List[Constraint] = []
-    users = tuple(range(g.m))
-    for subset in _subsets(g.m):
-        if not subset:
-            continue
-        bound = sum(solo_term(g, a, k) for k in subset) + _last_subset_term(g, a, subset)
-        out.append((("subset", tuple(k + 1 for k in subset)), bound))
-    total_last = _last_total_term(g, a)
-    for lam in _subsets(g.m):
-        comp = tuple(k for k in users if k not in lam)
-        bound = (sum(solo_term(g, a, k) for k in lam)
-                 + sum(_solo_direct_term(g, a, k) for k in comp)
-                 + total_last)
-        out.append((("total", tuple(k + 1 for k in lam)), bound))
-    return out
+    subset, total = muser_caps((_credited(g, outer), g.k_dest, g.noise), a.slots,
+                               (a.p_solo, a.p_priv, a.p_coop), CHECKED_OPS)
+    users = [tuple(k + 1 for k in range(g.m) if s >> k & 1) for s in range(1 << g.m)]
+    return ([(("subset", u), bound) for u, bound in zip(users[1:], subset)]
+            + [(("total", u), bound) for u, bound in zip(users, total)])
 
 
 def muser_achievable_constraints(g: MUserGains, a: MUserAllocation,
@@ -187,14 +147,14 @@ def muser_achievable_constraints(g: MUserGains, a: MUserAllocation,
     credited their weakest inter-user link and the rest their direct link.
     Users are numbered from 1 in descriptors.
     """
-    return _constraints(g, a, budgets, _solo_min_term)
+    return _constraints(g, a, budgets, outer=False)
 
 
 def muser_outer_constraints(g: MUserGains, a: MUserAllocation,
                             budgets: Sequence[float]) -> List[Constraint]:
     """Outer-bound constraints: weakest-listener terms replaced by
     joint-observation terms over the destination and all listeners."""
-    return _constraints(g, a, budgets, _solo_joint_term)
+    return _constraints(g, a, budgets, outer=True)
 
 
 def muser_condition_check(g: MUserGains, a: MUserAllocation):

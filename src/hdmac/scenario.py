@@ -94,13 +94,20 @@ def _num(node: dict, where: str, key: str, default=None) -> float:
     v = node[key]
     if not _is_number(v):
         raise ScenarioError(f"{where}.{key}: expected a number, got {v!r}")
-    return float(v)
+    return _float(v, f"{where}.{key}")
 
 
 def _numbers(v, where: str) -> list:
     if not isinstance(v, list) or not all(_is_number(x) for x in v):
         raise ScenarioError(f"{where}: expected a list of numbers, got {v!r}")
-    return [float(x) for x in v]
+    return [_float(x, where) for x in v]
+
+
+def _float(v, where: str) -> float:
+    try:
+        return float(v)
+    except OverflowError:
+        raise ScenarioError(f"{where}: number too large for a float") from None
 
 
 def _int(node: dict, where: str, key: str, default: int) -> int:

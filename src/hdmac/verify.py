@@ -19,6 +19,7 @@ from .core import (
     DfAllocation,
     PdfAllocation,
     PowerBudget,
+    RatePolygon,
     TimeSlots,
     ValidationError,
     polygon_from_constraints,
@@ -120,6 +121,29 @@ def _cross(region, points) -> list:
                                  r.mu)[0] for r in points]
 
 
+def _containment_slack(outer, inner) -> float:
+    """Slack of inner's polygon inside outer's (negative: it sticks out)."""
+    return region_contains(polygon_from_constraints(outer), polygon_from_constraints(inner),
+                           CONTAIN_TOL)[1]
+
+
+def _degraded_gap(g: ChannelGains, slots: TimeSlots, alloc: DfAllocation,
+                  rho: NoiseCorrelation) -> float:
+    """Largest difference between a DEGRADED cap and the DF cap it equals
+    under the degraded noise correlations."""
+    rd = df_region(g, slots, alloc)
+    ro = degraded_outer_region(g, slots, alloc, rho)
+    return max(abs(ro.min_r1 - rd.min_r1), abs(ro.min_r2 - rd.min_r2),
+               abs(ro.sum_bounds[0] - rd.sum_bounds[0]),
+               abs(ro.sum_bounds[1] - rd.sum_bounds[3]))
+
+
+# the claims whose witness is one allocation, checked as full decoding's
+# polygon containing the other scheme's
+_INNER = {"joint_dominates_separate": pdf_separate_region,
+          "full_vs_partial_user_decoding": pdf_partial_user_region}
+
+
 def _region_vertex_slack(region, vertex) -> float:
     poly = polygon_from_constraints(region)
     return point_slack(poly.vertices, vertex)
@@ -214,8 +238,7 @@ def verify_joint_dominates_separate(g: ChannelGains, budget: PowerBudget,
         slots, alloc = sample_allocation("PDF_JOINT", g, budget, rng)
         rj = pdf_joint_region(g, slots, alloc)
         rs = pdf_separate_region(g, slots, alloc)
-        ok, slack = region_contains(polygon_from_constraints(rj),
-                                    polygon_from_constraints(rs), CONTAIN_TOL)
+        slack = _containment_slack(rj, rs)
         if slack < worst:
             worst = slack
             witness = {"slots": _slots_dict(slots), "allocation": asdict(alloc)}
@@ -282,11 +305,7 @@ def verify_degraded_capacity(g: ChannelGains, budget: PowerBudget, cfg: SearchCo
     witness = None
     for _ in range(samples):
         slots, alloc = sample_allocation("DF", g, budget, rng)
-        rd = df_region(g, slots, alloc)
-        ro = degraded_outer_region(g, slots, alloc, rho)
-        diff = max(abs(ro.min_r1 - rd.min_r1), abs(ro.min_r2 - rd.min_r2),
-                   abs(ro.sum_bounds[0] - rd.sum_bounds[0]),
-                   abs(ro.sum_bounds[1] - rd.sum_bounds[3]))
+        diff = _degraded_gap(g, slots, alloc, rho)
         if diff >= max_diff:
             max_diff = diff
             witness = {"slots": _slots_dict(slots), "allocation": asdict(alloc),
@@ -329,10 +348,8 @@ def verify_full_vs_partial_user_decoding(g: ChannelGains, budget: PowerBudget,
     if containment_applicable:
         for _ in range(samples):
             slots, alloc = sample_allocation("PDF_JOINT", g, budget, rng, interior=True)
-            rf = pdf_joint_region(g, slots, alloc)
-            rp = pdf_partial_user_region(g, slots, alloc)
-            ok, slack = region_contains(polygon_from_constraints(rf),
-                                        polygon_from_constraints(rp), CONTAIN_TOL)
+            slack = _containment_slack(pdf_joint_region(g, slots, alloc),
+                                       pdf_partial_user_region(g, slots, alloc))
             if slack < worst:
                 worst = slack
                 witness = {"slots": _slots_dict(slots), "allocation": asdict(alloc)}
@@ -358,31 +375,15 @@ def replay_witness(verdict: Verdict, g: ChannelGains, budget: PowerBudget) -> fl
     w = verdict.witness
     if w is None:
         raise ValidationError(f"verdict {verdict.claim!r} carries no witness")
-    if verdict.claim == "joint_dominates_separate":
+    if verdict.claim in _INNER:
         slots = _slots_from(w["slots"])
         alloc = PdfAllocation(**w["allocation"])
-        _, slack = region_contains(
-            polygon_from_constraints(pdf_joint_region(g, slots, alloc)),
-            polygon_from_constraints(pdf_separate_region(g, slots, alloc)), CONTAIN_TOL)
-        return slack
-    if verdict.claim == "full_vs_partial_user_decoding":
-        slots = _slots_from(w["slots"])
-        alloc = PdfAllocation(**w["allocation"])
-        _, slack = region_contains(
-            polygon_from_constraints(pdf_joint_region(g, slots, alloc)),
-            polygon_from_constraints(pdf_partial_user_region(g, slots, alloc)), CONTAIN_TOL)
-        return slack
+        return _containment_slack(pdf_joint_region(g, slots, alloc),
+                                  _INNER[verdict.claim](g, slots, alloc))
     if verdict.claim == "degraded_capacity":
-        slots = _slots_from(w["slots"])
-        alloc = DfAllocation(**w["allocation"])
-        rho = NoiseCorrelation(w["rho1"], w["rho2"])
-        rd = df_region(g, slots, alloc)
-        ro = degraded_outer_region(g, slots, alloc, rho)
-        return -max(abs(ro.min_r1 - rd.min_r1), abs(ro.min_r2 - rd.min_r2),
-                    abs(ro.sum_bounds[0] - rd.sum_bounds[0]),
-                    abs(ro.sum_bounds[1] - rd.sum_bounds[3]))
+        return -_degraded_gap(g, _slots_from(w["slots"]), DfAllocation(**w["allocation"]),
+                              NoiseCorrelation(w["rho1"], w["rho2"]))
     if verdict.claim == "achievable_in_outer":
-        from .core import RatePolygon
         outer_hull = RatePolygon(tuple((x, y) for x, y in w["outer_hull"]))
         df_hull = RatePolygon(tuple((x, y) for x, y in w["df_hull"]))
         _, slack = region_contains(outer_hull, df_hull, HULL_TOL)

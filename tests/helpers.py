@@ -15,6 +15,8 @@ from hdmac.dmc import (
     PdfInputDistribution,
     SlotChannels,
 )
+from hdmac.muser import MUserAllocation, MUserGains
+from hdmac.muser import power_used as muser_power_used
 
 
 def naive_conditional_mi(joint, a_axes, b_axes, c_axes=()):
@@ -116,3 +118,23 @@ def gaussian_conditional_mi_bits(cov, a_idx, b_idx, c_idx=()):
     val = (logdet(a_idx + c_idx) + logdet(b_idx + c_idx)
            - logdet(c_idx) - logdet(a_idx + b_idx + c_idx))
     return 0.5 * val / math.log(2.0)
+
+
+def random_muser_instance(rng, m, empty=()):
+    """A random m-user (gains, allocation, budgets) that meets every power
+    identity exactly.  Slots listed in ``empty`` (0-based, m is the last
+    slot) have length 0 and carry no power; each user needs its own slot or
+    the last one."""
+    k_user = tuple(tuple(0.0 if i == j else rng.uniform(0.2, 3.0) for j in range(m))
+                   for i in range(m))
+    gains = MUserGains(m, k_user, tuple(rng.uniform(0.2, 2.0) for _ in range(m)),
+                       rng.uniform(0.5, 2.0))
+    raw = [0.0 if s in empty else rng.uniform(0.1, 1.0) for s in range(m + 1)]
+    slots = [r / sum(raw) for r in raw]
+
+    def power(slot):
+        return rng.uniform(0.0, 4.0) if slots[slot] > 0.0 else 0.0
+
+    alloc = MUserAllocation(slots, [power(k) for k in range(m)], [power(m) for _ in range(m)],
+                            [power(m) for _ in range(m)])
+    return gains, alloc, muser_power_used(gains, alloc)

@@ -245,6 +245,13 @@ class TestMain:
         assert main(["region", "--scenario", str(scenario)]) == 2
         assert "bogus_key" in capsys.readouterr().err
 
+    def test_number_too_large_for_a_float_exit_two(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(PENTAGON_DOC.replace("k12: 2.0", "k12: 1" + "0" * 400),
+                            encoding="utf-8")
+        assert main(["region", "--scenario", str(scenario), "--out", str(tmp_path)]) == 2
+        assert "error: scenario.gains.k12: number too large" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [("k_dest", '["abc", 1.0, 1.0]'), ("k_dest", "3"),
                                             ("p_solo", "null"), ("budgets", "[true, 2.0, 2.0]")])
     def test_bad_m_user_entry_exit_two(self, tmp_path, capsys, key, value):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hdmac.core import (
     polygon_from_constraints,
     power_feasible,
 )
+from hdmac.gaussian import NoiseCorrelation, df_region
 
 
 class TestCGauss:
@@ -85,6 +87,21 @@ class TestTypes:
             with pytest.raises(ValidationError, match="PowerBudget.p2"):
                 PowerBudget(1.0, value)
 
+    def test_int_too_large_for_a_float_is_rejected(self):
+        with pytest.raises(ValidationError, match="ChannelGains.k12"):
+            ChannelGains(10 ** 400, 1, 1, 1, 1)
+
+    def test_numpy_scalars_are_stored_as_floats(self):
+        g32 = ChannelGains(np.float32(2.1), np.float32(1.3), 1, 1, 1)
+        g = ChannelGains(float(np.float32(2.1)), float(np.float32(1.3)), 1.0, 1.0, 1.0)
+        assert all(type(v) is float for v in astuple(g32))
+        slots = TimeSlots(np.float32(0.25), np.float64(0.25), 0.5)
+        alloc = DfAllocation(*(np.float32(p) for p in (4.0, 4.0, 1.0, 1.0, 1.0, 1.0)))
+        for obj in (slots, alloc, PowerBudget(np.int64(2), np.float32(2.0)),
+                    PdfAllocation(*(np.float32(0.5) for _ in range(10)))):
+            assert all(type(v) is float for v in astuple(obj))
+        assert df_region(g32, slots, alloc) == df_region(g, slots, alloc)
+
     def test_linear_region_nonempty_finite(self):
         with pytest.raises(ValidationError):
             LinearRegion((), (1.0,), (1.0,))
@@ -92,6 +109,13 @@ class TestTypes:
             LinearRegion((math.inf,), (1.0,), (1.0,))
         with pytest.raises(ValidationError):
             LinearRegion((-0.1,), (1.0,), (1.0,))
+
+    def test_noise_correlation_takes_real_numbers_only(self):
+        with pytest.raises(ValidationError, match="NoiseCorrelation.rho1"):
+            NoiseCorrelation(True, 0.5)
+        rho = NoiseCorrelation(np.float32(0.5), np.int64(0))
+        assert (rho.rho1, rho.rho2) == (0.5, 0.0)
+        assert type(rho.rho1) is float and type(rho.rho2) is float
 
     def test_rate_polygon_nonneg(self):
         with pytest.raises(ValidationError):

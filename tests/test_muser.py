@@ -1,5 +1,7 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from hdmac.muser import (
     muser_outer_constraints,
     power_used,
 )
-from helpers import gaussian_conditional_mi_bits
+from hdmac.scenario import parse_scenario
+from helpers import gaussian_conditional_mi_bits, random_muser_instance
 
 C = c_gauss
 
@@ -83,29 +86,76 @@ class TestTypes:
         assert power_used(gains, alloc) == pytest.approx(budgets, abs=1e-12)
 
 
+# slots left empty in the random two-user cases; each user keeps its own
+# slot or the last one
+EMPTY = ((), (0,), (1,), (2,), (0, 1))
+
+
+def two_user_cases():
+    """The fixed instance, then random channels and allocations."""
+    yield two_user_instance()
+    rng = random.Random(2)
+    for i in range(300):
+        yield random_muser_instance(rng, 2, EMPTY[i % len(EMPTY)])
+
+
+def two_user_region(region, gains, alloc):
+    """A two-user region at the m = 2 instance's channel and allocation."""
+    g2 = ChannelGains(gains.k_user[0][1], gains.k_user[1][0], *gains.k_dest, gains.noise)
+    a2 = DfAllocation(alloc.p_solo[0], alloc.p_solo[1], alloc.p_priv[0], alloc.p_priv[1],
+                      alloc.p_coop[0], alloc.p_coop[1])
+    ref = region(g2, TimeSlots(*alloc.slots), a2)
+    return [*ref.r1_bounds, *ref.r2_bounds, *ref.sum_bounds]
+
+
 class TestTwoUserSpecialization:
+    # df_caps is muser_caps at m = 2, and _credited writes the gains as
+    # df_gains does, so the bounds are equal, not just close
+
     def test_matches_df_region_bound_for_bound(self):
-        gains, alloc, budgets = two_user_instance()
-        got = bounds_by_key(muser_achievable_constraints(gains, alloc, budgets))
-        g2 = ChannelGains(2.0, 2.0, 1.0, 1.0, 1.0)
-        ref = df_region(g2, TimeSlots(0.2, 0.2, 0.6), DfAllocation(4, 4, 1, 1, 1, 1))
-        assert got[("subset", (1,))] == pytest.approx(ref.r1_bounds[0], abs=1e-12)
-        assert got[("subset", (2,))] == pytest.approx(ref.r2_bounds[0], abs=1e-12)
-        assert got[("subset", (1, 2))] == pytest.approx(ref.sum_bounds[0], abs=1e-12)
-        assert got[("total", (2,))] == pytest.approx(ref.sum_bounds[1], abs=1e-12)
-        assert got[("total", (1,))] == pytest.approx(ref.sum_bounds[2], abs=1e-12)
-        assert got[("total", ())] == pytest.approx(ref.sum_bounds[3], abs=1e-12)
+        for gains, alloc, budgets in two_user_cases():
+            got = bounds_by_key(muser_achievable_constraints(gains, alloc, budgets))
+            keys = (("subset", (1,)), ("subset", (2,)), ("subset", (1, 2)),
+                    ("total", (2,)), ("total", (1,)), ("total", ()))
+            assert [got[k] for k in keys] == two_user_region(df_region, gains, alloc)
 
     def test_outer_matches_gain_substitution(self):
-        gains, alloc, budgets = two_user_instance()
-        got = bounds_by_key(muser_outer_constraints(gains, alloc, budgets))
-        g2 = ChannelGains(2.0, 2.0, 1.0, 1.0, 1.0)
-        ref = gaussian_outer_region(g2, TimeSlots(0.2, 0.2, 0.6),
-                                    DfAllocation(4, 4, 1, 1, 1, 1))
-        assert got[("subset", (1,))] == pytest.approx(ref.r1_bounds[0], abs=1e-12)
-        assert got[("subset", (2,))] == pytest.approx(ref.r2_bounds[0], abs=1e-12)
-        assert got[("subset", (1, 2))] == pytest.approx(ref.sum_bounds[0], abs=1e-12)
-        assert got[("total", ())] == pytest.approx(ref.sum_bounds[1], abs=1e-12)
+        for gains, alloc, budgets in two_user_cases():
+            got = bounds_by_key(muser_outer_constraints(gains, alloc, budgets))
+            keys = (("subset", (1,)), ("subset", (2,)), ("subset", (1, 2)), ("total", ()))
+            assert ([got[k] for k in keys]
+                    == two_user_region(gaussian_outer_region, gains, alloc))
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "muser_golden.json").read_text())
+
+
+def golden_instance(name):
+    if name == "three_user.yaml":
+        text = (Path(__file__).parents[1] / "scenarios" / name).read_text(encoding="utf-8")
+        mu = parse_scenario(text).m_user
+        return mu.gains, mu.allocation, mu.budgets
+    m = int(name.split()[1])
+    return random_muser_instance(random.Random(m), m)
+
+
+class TestGoldenListing:
+    """tests/data/muser_golden.json holds the listings of the shipped
+    three-user scenario and of the instance random_muser_instance draws
+    from random.Random(m) for each m = 2 ... 6, as the per-term formulas
+    that preceded gaussian.muser_caps computed them."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_listing_matches_recorded_bounds(self, name):
+        g, a, b = golden_instance(name)
+        masks = range(1 << g.m)
+        users = [tuple(k + 1 for k in range(g.m) if mask >> k & 1) for mask in masks]
+        keys = [("subset", u) for u in users[1:]] + [("total", u) for u in users]
+        for side, listing in (("achievable", muser_achievable_constraints(g, a, b)),
+                              ("outer", muser_outer_constraints(g, a, b))):
+            assert [key for key, _ in listing] == keys
+            assert [bound for _, bound in listing] == pytest.approx(GOLDEN[name][side],
+                                                                    rel=0, abs=1e-13)
 
 
 class TestThreeUsers:

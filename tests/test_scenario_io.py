@@ -111,6 +111,12 @@ class TestParsing:
             parse_scenario(bad)
         assert "k12" in str(err.value)
 
+    def test_number_too_large_for_a_float_names_key(self):
+        with pytest.raises(ScenarioError, match="scenario.gains.k12: number too large"):
+            parse_scenario(MINIMAL.replace("k12: 2.0", "k12: 1" + "0" * 400))
+        with pytest.raises(ScenarioError, match="scenario.sweep: number too large"):
+            parse_scenario(MINIMAL + "sweep: [1.0, 1" + "0" * 400 + "]\n")
+
     def test_syntax_error_reports_line(self):
         with pytest.raises(ScenarioError) as err:
             parse_scenario("gains: {k12: [unclosed\nbudget: 3\n")
