@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import dmc as dmc_mod
-from .core import ValidationError, polygon_from_constraints
+from .core import DfAllocation, PdfAllocation, ValidationError, polygon_from_constraints
 from .muser import muser_achievable_constraints, muser_condition_check, muser_outer_constraints
 from .optimize import FrontierResult, frontier, region_contains, scheme_region
 from .scenario import Scenario, ScenarioError, parse_scenario, scenario_hash
@@ -32,8 +32,8 @@ from .verify import (
 COMMANDS = ("region", "frontier", "sweep", "muser", "dmc", "verify")
 DEFAULT_WEIGHTS = 17
 
-_PDF_FIELDS = ("p10", "p20", "pu", "pv", "p13", "p23", "c2", "c3", "d2", "d3")
-_DF_FIELDS = ("p12", "p21", "p13", "p23", "ps1", "ps2")
+_PDF_FIELDS = tuple(f.name for f in dataclasses.fields(PdfAllocation))
+_DF_FIELDS = tuple(f.name for f in dataclasses.fields(DfAllocation))
 
 
 def _fmt(v) -> str:

@@ -195,8 +195,9 @@ class RatePolygon:
         object.__setattr__(self, "vertices", verts)
         _check(len(verts) > 0, "RatePolygon needs at least one vertex")
         for x, y in verts:
-            _check(_finite(x) and x >= 0.0 and _finite(y) and y >= 0.0,
-                   f"RatePolygon vertices must be finite and >= 0, got {(x, y)!r}")
+            if not (_finite(x) and x >= 0.0 and _finite(y) and y >= 0.0):
+                raise ValidationError(
+                    f"RatePolygon vertices must be finite and >= 0, got {(x, y)!r}")
 
     @property
     def max_r1(self) -> float:

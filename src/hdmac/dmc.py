@@ -3,8 +3,27 @@
 Each slot of the block is a separate memoryless channel given as a dense
 conditional pmf table; region bounds are computed by direct summation of
 the induced joints, so these serve as the oracle layer for the Gaussian
-closed forms.  Alphabets are capped (default 4 symbols per variable) to
-keep every joint exhaustively enumerable.
+closed forms.  That is why this module shares no code with ``gaussian``:
+an oracle that reused the closed forms' composition would repeat their
+mistakes, and the Gaussian kernels are written for the optimizer's
+dual-number hot path, not for pmf tables.  Alphabets are capped at
+MAX_ALPHABET symbols per variable to keep every joint exhaustively
+enumerable.
+
+Three single sources hold the module together:
+
+- ``_validate`` checks every table record (`SlotChannels` and the three
+  input distributions) from its fields' axis tags: the axes, which of them
+  are conditioning axes, the alphabet cap, shared alphabets within the
+  record and normalization.
+- ``_slot12_joint`` and ``_slot3_joint`` build every induced joint and
+  check the input alphabets against the channel tables.
+- ``_caps`` states the paper's constraint shape once.  With A the slot-1/2
+  term a region credits cooperation with, D the term the destination
+  decodes directly, and slot-3 terms X13, X23 and (X13, X23) conditioned
+  on what the destination already knows:
+  R1 <= A1 + X13, R2 <= A2 + X23, and the sums A1 + A2 + UV,
+  D1 + A2 + V, A1 + D2 + U and D1 + D2 + (unconditioned).
 
 Axis conventions
 ----------------
@@ -15,7 +34,7 @@ slot3 : p(y3 | x13, x23) shape (X13, X23, Y3)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Tuple
 
 import numpy as np
@@ -23,143 +42,83 @@ import numpy as np
 from .core import LinearRegion, TimeSlots, ValidationError, _check
 
 PMF_TOL = 1e-12
-DEFAULT_MAX_ALPHABET = 4
+MAX_ALPHABET = 4
 
 
-def _as_table(value, name: str, ndim: int) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    _check(arr.ndim == ndim, f"{name} must have {ndim} axes, got {arr.ndim}")
-    _check(bool(np.all(np.isfinite(arr))), f"{name} has non-finite entries")
-    _check(bool(np.all(arr >= -PMF_TOL)), f"{name} has negative entries")
-    arr = np.clip(arr, 0.0, None)
-    arr.setflags(write=False)
-    return arr
+def _pmf(axes: str, given: str = ""):
+    """A table field p(axes | given), stored with the given axes leading;
+    ``dims`` names every axis in storage order."""
+    cond = tuple(given.split())
+    return field(metadata={"dims": cond + tuple(axes.split()), "given": len(cond)})
 
 
-def _check_conditional(arr: np.ndarray, cond_axes: int, name: str) -> None:
-    """Each slice over the trailing axes must sum to 1 (cond_axes lead)."""
-    sums = arr.sum(axis=tuple(range(cond_axes, arr.ndim)))
-    _check(bool(np.all(np.abs(sums - 1.0) <= PMF_TOL)),
-           f"{name}: conditional slices must sum to 1 within {PMF_TOL}")
-
-
-def _check_sizes(arr: np.ndarray, name: str, cap: int) -> None:
-    for k, size in enumerate(arr.shape):
-        _check(1 <= size <= cap, f"{name} axis {k} has size {size}, cap is {cap}")
+def _validate(record) -> None:
+    """Check and freeze every table of a record against its fields' tags."""
+    sizes = {}
+    for f in fields(record):
+        name, dims, given = f.name, f.metadata["dims"], f.metadata["given"]
+        try:
+            arr = np.asarray(getattr(record, name), dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"{name} must be a rectangular array of numbers") from None
+        _check(arr.ndim == len(dims), f"{name} must have {len(dims)} axes, got {arr.ndim}")
+        _check(bool(np.all(np.isfinite(arr))), f"{name} has non-finite entries")
+        _check(bool(np.all(arr >= -PMF_TOL)), f"{name} has negative entries")
+        for dim, size in zip(dims, arr.shape):
+            _check(1 <= size <= MAX_ALPHABET,
+                   f"{name} axis {dim} has size {size}, cap is {MAX_ALPHABET}")
+            first, known = sizes.setdefault(dim, (name, size))
+            _check(size == known, f"{name} axis {dim} has size {size}, {first} gives {known}")
+        arr = np.clip(arr, 0.0, None)
+        sums = arr.sum(axis=tuple(range(given, arr.ndim)))
+        _check(bool(np.all(np.abs(sums - 1.0) <= PMF_TOL)),
+               f"{name}: conditional slices must sum to 1 within {PMF_TOL}")
+        arr.setflags(write=False)
+        object.__setattr__(record, name, arr)
 
 
 @dataclass(frozen=True)
 class SlotChannels:
     """The three per-slot channel tables."""
 
-    slot1: np.ndarray
-    slot2: np.ndarray
-    slot3: np.ndarray
-    max_alphabet: int = DEFAULT_MAX_ALPHABET
-
-    def __post_init__(self) -> None:
-        s1 = _as_table(self.slot1, "slot1", 3)
-        s2 = _as_table(self.slot2, "slot2", 3)
-        s3 = _as_table(self.slot3, "slot3", 3)
-        for arr, name in ((s1, "slot1"), (s2, "slot2"), (s3, "slot3")):
-            _check_sizes(arr, name, self.max_alphabet)
-        _check_conditional(s1, 1, "slot1")
-        _check_conditional(s2, 1, "slot2")
-        _check_conditional(s3, 2, "slot3")
-        object.__setattr__(self, "slot1", s1)
-        object.__setattr__(self, "slot2", s2)
-        object.__setattr__(self, "slot3", s3)
-
-    @property
-    def sizes(self):
-        return {
-            "x1": self.slot1.shape[0], "y1": self.slot1.shape[1], "y12": self.slot1.shape[2],
-            "x2": self.slot2.shape[0], "y2": self.slot2.shape[1], "y21": self.slot2.shape[2],
-            "x13": self.slot3.shape[0], "x23": self.slot3.shape[1], "y3": self.slot3.shape[2],
-        }
+    slot1: np.ndarray = _pmf("y1 y12", given="x10")
+    slot2: np.ndarray = _pmf("y2 y21", given="x20")
+    slot3: np.ndarray = _pmf("y3", given="x13 x23")
+    __post_init__ = _validate
 
 
 @dataclass(frozen=True)
 class PdfInputDistribution:
     """Factored inputs p(x10,u) p(x20,v) p(x13|u,v) p(x23|u,v)."""
 
-    pmf_x10_u: np.ndarray        # (X10, U)
-    pmf_x20_v: np.ndarray        # (X20, V)
-    pmf_x13_given_uv: np.ndarray  # (U, V, X13)
-    pmf_x23_given_uv: np.ndarray  # (U, V, X23)
-
-    def __post_init__(self) -> None:
-        a = _as_table(self.pmf_x10_u, "pmf_x10_u", 2)
-        b = _as_table(self.pmf_x20_v, "pmf_x20_v", 2)
-        c = _as_table(self.pmf_x13_given_uv, "pmf_x13_given_uv", 3)
-        d = _as_table(self.pmf_x23_given_uv, "pmf_x23_given_uv", 3)
-        _check(abs(a.sum() - 1.0) <= PMF_TOL, "pmf_x10_u must sum to 1")
-        _check(abs(b.sum() - 1.0) <= PMF_TOL, "pmf_x20_v must sum to 1")
-        _check_conditional(c, 2, "pmf_x13_given_uv")
-        _check_conditional(d, 2, "pmf_x23_given_uv")
-        _check(c.shape[0] == a.shape[1] and c.shape[1] == b.shape[1],
-               "pmf_x13_given_uv conditioning axes must match (U, V)")
-        _check(d.shape[0] == a.shape[1] and d.shape[1] == b.shape[1],
-               "pmf_x23_given_uv conditioning axes must match (U, V)")
-        for arr, name in ((a, "pmf_x10_u"), (b, "pmf_x20_v"),
-                          (c, "pmf_x13_given_uv"), (d, "pmf_x23_given_uv")):
-            object.__setattr__(self, name, arr)
+    pmf_x10_u: np.ndarray = _pmf("x10 u")
+    pmf_x20_v: np.ndarray = _pmf("x20 v")
+    pmf_x13_given_uv: np.ndarray = _pmf("x13", given="u v")
+    pmf_x23_given_uv: np.ndarray = _pmf("x23", given="u v")
+    __post_init__ = _validate
 
 
 @dataclass(frozen=True)
 class DfInputDistribution:
     """Factored inputs p(x12) p(x21) p(s) p(x13|s) p(x23|s)."""
 
-    pmf_x12: np.ndarray
-    pmf_x21: np.ndarray
-    pmf_s: np.ndarray
-    pmf_x13_given_s: np.ndarray  # (S, X13)
-    pmf_x23_given_s: np.ndarray  # (S, X23)
-
-    def __post_init__(self) -> None:
-        a = _as_table(self.pmf_x12, "pmf_x12", 1)
-        b = _as_table(self.pmf_x21, "pmf_x21", 1)
-        s = _as_table(self.pmf_s, "pmf_s", 1)
-        c = _as_table(self.pmf_x13_given_s, "pmf_x13_given_s", 2)
-        d = _as_table(self.pmf_x23_given_s, "pmf_x23_given_s", 2)
-        for arr, name in ((a, "pmf_x12"), (b, "pmf_x21"), (s, "pmf_s")):
-            _check(abs(arr.sum() - 1.0) <= PMF_TOL, f"{name} must sum to 1")
-        _check_conditional(c, 1, "pmf_x13_given_s")
-        _check_conditional(d, 1, "pmf_x23_given_s")
-        _check(c.shape[0] == s.shape[0] and d.shape[0] == s.shape[0],
-               "slot-3 conditionals must share the S alphabet")
-        for arr, name in ((a, "pmf_x12"), (b, "pmf_x21"), (s, "pmf_s"),
-                          (c, "pmf_x13_given_s"), (d, "pmf_x23_given_s")):
-            object.__setattr__(self, name, arr)
+    pmf_x12: np.ndarray = _pmf("x12")
+    pmf_x21: np.ndarray = _pmf("x21")
+    pmf_s: np.ndarray = _pmf("s")
+    pmf_x13_given_s: np.ndarray = _pmf("x13", given="s")
+    pmf_x23_given_s: np.ndarray = _pmf("x23", given="s")
+    __post_init__ = _validate
 
 
 @dataclass(frozen=True)
 class OuterInputDistribution:
     """Outer-bound inputs p(x10,u) p(x20,v) p(x13|u,v,x10) p(x23|u,v,x20)."""
 
-    pmf_x10_u: np.ndarray            # (X10, U)
-    pmf_x20_v: np.ndarray            # (X20, V)
-    pmf_x13_given_uvx10: np.ndarray  # (U, V, X10, X13)
-    pmf_x23_given_uvx20: np.ndarray  # (U, V, X20, X23)
-
-    def __post_init__(self) -> None:
-        a = _as_table(self.pmf_x10_u, "pmf_x10_u", 2)
-        b = _as_table(self.pmf_x20_v, "pmf_x20_v", 2)
-        c = _as_table(self.pmf_x13_given_uvx10, "pmf_x13_given_uvx10", 4)
-        d = _as_table(self.pmf_x23_given_uvx20, "pmf_x23_given_uvx20", 4)
-        _check(abs(a.sum() - 1.0) <= PMF_TOL, "pmf_x10_u must sum to 1")
-        _check(abs(b.sum() - 1.0) <= PMF_TOL, "pmf_x20_v must sum to 1")
-        _check_conditional(c, 3, "pmf_x13_given_uvx10")
-        _check_conditional(d, 3, "pmf_x23_given_uvx20")
-        _check(c.shape[0] == a.shape[1] and c.shape[1] == b.shape[1]
-               and c.shape[2] == a.shape[0],
-               "pmf_x13_given_uvx10 conditioning axes must match (U, V, X10)")
-        _check(d.shape[0] == a.shape[1] and d.shape[1] == b.shape[1]
-               and d.shape[2] == b.shape[0],
-               "pmf_x23_given_uvx20 conditioning axes must match (U, V, X20)")
-        for arr, name in ((a, "pmf_x10_u"), (b, "pmf_x20_v"),
-                          (c, "pmf_x13_given_uvx10"), (d, "pmf_x23_given_uvx20")):
-            object.__setattr__(self, name, arr)
+    pmf_x10_u: np.ndarray = _pmf("x10 u")
+    pmf_x20_v: np.ndarray = _pmf("x20 v")
+    pmf_x13_given_uvx10: np.ndarray = _pmf("x13", given="u v x10")
+    pmf_x23_given_uvx20: np.ndarray = _pmf("x23", given="u v x20")
+    __post_init__ = _validate
 
 
 # ---------------------------------------------------------------------------
@@ -223,129 +182,123 @@ def mutual_information(joint, a_axes, b_axes, c_axes=()) -> float:
 # induced joints
 # ---------------------------------------------------------------------------
 
-def _slot1_joint(ch: SlotChannels, pmf_x1_u: np.ndarray) -> np.ndarray:
-    """(x1, u, y1, y12) joint for slot 1; also used for slot-1 DF inputs."""
-    _check(pmf_x1_u.shape[0] == ch.slot1.shape[0],
-           "slot-1 input alphabet does not match the channel table")
-    return np.einsum("xu,xab->xuab", pmf_x1_u, ch.slot1)
+def _slot12_joint(slot: int, table: np.ndarray, pmf: np.ndarray) -> np.ndarray:
+    """(x, aux..., y, y') joint of inputs p(x, aux...) on a slot-1/2 table."""
+    if pmf.shape[0] != table.shape[0]:  # the message is built only on failure
+        raise ValidationError(f"slot-{slot} input alphabet does not match the channel table")
+    return np.einsum("x...,xab->x...ab", pmf, table)
 
 
-def _slot2_joint(ch: SlotChannels, pmf_x2_v: np.ndarray) -> np.ndarray:
-    _check(pmf_x2_v.shape[0] == ch.slot2.shape[0],
-           "slot-2 input alphabet does not match the channel table")
-    return np.einsum("xv,xab->xvab", pmf_x2_v, ch.slot2)
-
-
-def _slot3_joint_uv(ch: SlotChannels, p_u, p_v, p13_uv, p23_uv) -> np.ndarray:
-    """(u, v, x13, x23, y3) joint under the factored slot-3 inputs."""
-    _check(p13_uv.shape[2] == ch.slot3.shape[0] and p23_uv.shape[2] == ch.slot3.shape[1],
+def _slot3_joint(table: np.ndarray, p_aux: np.ndarray, p13: np.ndarray,
+                 p23: np.ndarray) -> np.ndarray:
+    """(aux..., x13, x23, y3) joint of inputs p(aux) p(x13|aux) p(x23|aux)."""
+    _check(p13.shape[-1] == table.shape[0] and p23.shape[-1] == table.shape[1],
            "slot-3 input alphabets do not match the channel table")
-    return np.einsum("u,v,uvx,uvy,xyz->uvxyz", p_u, p_v, p13_uv, p23_uv, ch.slot3)
+    return np.einsum("...,...x,...y,xyz->...xyz", p_aux, p13, p23, table)
 
 
-def _joints(ch: SlotChannels, pmf_x10_u, pmf_x20_v, p13_uv, p23_uv):
-    """Slot-1, slot-2 and slot-3 joints of the inputs p(x10,u) p(x20,v)
-    p(x13|u,v) p(x23|u,v)."""
-    j1 = _slot1_joint(ch, pmf_x10_u)
-    j2 = _slot2_joint(ch, pmf_x20_v)
-    j3 = _slot3_joint_uv(ch, pmf_x10_u.sum(axis=0), pmf_x20_v.sum(axis=0), p13_uv, p23_uv)
-    return j1, j2, j3
+def _joints(ch: SlotChannels, pmf_x1, pmf_x2, p_aux, p13, p23):
+    return (_slot12_joint(1, ch.slot1, pmf_x1), _slot12_joint(2, ch.slot2, pmf_x2),
+            _slot3_joint(ch.slot3, p_aux, p13, p23))
 
 
-def _slot3_terms(j3: np.ndarray, a3: float):
-    """a3 times the slot-3 terms (X13, X23, UV, U, V, unconditioned) of a
-    (u, v, x13, x23, y3) joint; all zero for an empty slot."""
-    if a3 <= 0.0:
-        return (0.0,) * 6
-    return (a3 * _mi(j3, (2,), (4,), (0, 1, 3)),
-            a3 * _mi(j3, (3,), (4,), (0, 1, 2)),
-            a3 * _mi(j3, (2, 3), (4,), (0, 1)),
-            a3 * _mi(j3, (2, 3), (4,), (0,)),
-            a3 * _mi(j3, (2, 3), (4,), (1,)),
-            a3 * _mi(j3, (2, 3), (4,)))
+def _uv_joints(ch: SlotChannels, pmf_x10_u, pmf_x20_v, p13_uv, p23_uv):
+    """Joints of the inputs p(x10,u) p(x20,v) p(x13|u,v) p(x23|u,v)."""
+    p_uv = pmf_x10_u.sum(axis=0)[:, None] * pmf_x20_v.sum(axis=0)[None, :]
+    return _joints(ch, pmf_x10_u, pmf_x20_v, p_uv, p13_uv, p23_uv)
+
+
+# ---------------------------------------------------------------------------
+# slot-1/2 terms of a (x, aux..., y, y') joint
+# ---------------------------------------------------------------------------
+
+def _partner(j: np.ndarray) -> float:
+    """I(X; Y'): what the other user decodes."""
+    return _mi(j, (0,), (j.ndim - 1,))
+
+
+def _destination(j: np.ndarray) -> float:
+    """I(X; Y): what the destination decodes on its own."""
+    return _mi(j, (0,), (j.ndim - 2,))
+
+
+def _both_outputs(j: np.ndarray) -> float:
+    """I(X; Y, Y'): both outputs pooled, as a cut-set bound allows."""
+    return _mi(j, (0,), (j.ndim - 2, j.ndim - 1))
+
+
+def _private(j: np.ndarray) -> float:
+    """min(I(X; Y'|U), I(X; Y|U)) of a (x, u, y, y') joint: the private part
+    that both the other user and the destination decode."""
+    return min(_mi(j, (0,), (3,), (1,)), _mi(j, (0,), (2,), (1,)))
 
 
 # ---------------------------------------------------------------------------
 # rate regions
 # ---------------------------------------------------------------------------
 
+def _caps(slots: TimeSlots, joints, coop, direct, u=(0,), v=(1,),
+          middle: bool = True) -> LinearRegion:
+    """The constraint shape every region shares.
+
+    ``coop`` and ``direct`` give a slot-1/2 joint's terms A and D; the
+    slot-3 joint's leading axes are what the destination knows once both
+    cooperative messages are decoded, ``u`` (``v``) what it knows from user
+    1's (user 2's) alone.  ``middle=False`` drops the two middle sum caps.
+    Only the slot-3 terms a kept cap uses are computed, each once.
+    """
+    j1, j2, j3 = joints
+    a1 = d1 = a2 = d2 = 0.0
+    if slots.a1 > 0.0:
+        a1, d1 = slots.a1 * coop(j1), slots.a1 * direct(j1)
+    if slots.a2 > 0.0:
+        a2, d2 = slots.a2 * coop(j2), slots.a2 * direct(j2)
+    a3 = slots.a3
+    n = j3.ndim
+    x13, x23, y3 = n - 3, n - 2, n - 1
+    aux = tuple(range(n - 3))
+
+    def term(inputs, known) -> float:
+        return a3 * _mi(j3, inputs, (y3,), known) if a3 > 0.0 else 0.0
+
+    sums = [(a1, a2, aux), (d1, a2, v), (a1, d2, u), (d1, d2, ())]
+    if not middle:
+        sums = [sums[0], sums[3]]
+    joint_terms = {}
+    for _, _, known in sums:
+        if known not in joint_terms:
+            joint_terms[known] = term((x13, x23), known)
+    return LinearRegion((a1 + term((x13,), aux + (x23,)),),
+                        (a2 + term((x23,), aux + (x13,)),),
+                        tuple(b1 + b2 + joint_terms[known] for b1, b2, known in sums))
+
+
 def pdf_joint_region(ch: SlotChannels, dist: PdfInputDistribution,
                      slots: TimeSlots) -> LinearRegion:
     """Superposition scheme, joint decoding at the destination."""
-    a1, a2 = slots.a1, slots.a2
-    j1, j2, j3 = _joints(ch, dist.pmf_x10_u, dist.pmf_x20_v,
-                         dist.pmf_x13_given_uv, dist.pmf_x23_given_uv)
-
-    i_x10_y12 = a1 * _mi(j1, (0,), (3,)) if a1 > 0.0 else 0.0
-    i_x10_y1 = a1 * _mi(j1, (0,), (2,)) if a1 > 0.0 else 0.0
-    i_x20_y21 = a2 * _mi(j2, (0,), (3,)) if a2 > 0.0 else 0.0
-    i_x20_y2 = a2 * _mi(j2, (0,), (2,)) if a2 > 0.0 else 0.0
-
-    t_x13, t_x23, t_uv, t_u, t_v, t_all = _slot3_terms(j3, slots.a3)
-
-    r1 = i_x10_y12 + t_x13
-    r2 = i_x20_y21 + t_x23
-    s1 = i_x10_y12 + i_x20_y21 + t_uv
-    s2 = i_x10_y1 + i_x20_y21 + t_v
-    s3 = i_x10_y12 + i_x20_y2 + t_u
-    s4 = i_x10_y1 + i_x20_y2 + t_all
-    return LinearRegion((r1,), (r2,), (s1, s2, s3, s4))
+    joints = _uv_joints(ch, dist.pmf_x10_u, dist.pmf_x20_v,
+                        dist.pmf_x13_given_uv, dist.pmf_x23_given_uv)
+    return _caps(slots, joints, _partner, _destination)
 
 
 def pdf_separate_region(ch: SlotChannels, dist: PdfInputDistribution,
                         slots: TimeSlots) -> LinearRegion:
     """Superposition scheme, slot-by-slot decoding at the destination."""
-    a1, a2 = slots.a1, slots.a2
-    j1, j2, j3 = _joints(ch, dist.pmf_x10_u, dist.pmf_x20_v,
-                         dist.pmf_x13_given_uv, dist.pmf_x23_given_uv)
-
-    i_x10_y12 = a1 * _mi(j1, (0,), (3,)) if a1 > 0.0 else 0.0
-    i_x20_y21 = a2 * _mi(j2, (0,), (3,)) if a2 > 0.0 else 0.0
-    m1 = a1 * min(_mi(j1, (0,), (3,), (1,)), _mi(j1, (0,), (2,), (1,))) if a1 > 0.0 else 0.0
-    m2 = a2 * min(_mi(j2, (0,), (3,), (1,)), _mi(j2, (0,), (2,), (1,))) if a2 > 0.0 else 0.0
-
-    t_x13, t_x23, t_uv, t_u, t_v, t_all = _slot3_terms(j3, slots.a3)
-
-    r1 = i_x10_y12 + t_x13
-    r2 = i_x20_y21 + t_x23
-    s1 = i_x10_y12 + i_x20_y21 + t_uv
-    s2 = m1 + i_x20_y21 + t_v
-    s3 = i_x10_y12 + m2 + t_u
-    s4 = m1 + m2 + t_all
-    return LinearRegion((r1,), (r2,), (s1, s2, s3, s4))
+    joints = _uv_joints(ch, dist.pmf_x10_u, dist.pmf_x20_v,
+                        dist.pmf_x13_given_uv, dist.pmf_x23_given_uv)
+    return _caps(slots, joints, _partner, _private)
 
 
 def df_region(ch: SlotChannels, dist: DfInputDistribution,
               slots: TimeSlots) -> LinearRegion:
-    """Decode-forward scheme with independent per-slot codewords."""
-    a1, a2, a3 = slots.a1, slots.a2, slots.a3
-    j1 = np.einsum("x,xab->xab", dist.pmf_x12, ch.slot1)
-    _check(dist.pmf_x12.shape[0] == ch.slot1.shape[0],
-           "slot-1 input alphabet does not match the channel table")
-    j2 = np.einsum("x,xab->xab", dist.pmf_x21, ch.slot2)
-    j3 = np.einsum("s,sx,sy,xyz->sxyz", dist.pmf_s, dist.pmf_x13_given_s,
-                   dist.pmf_x23_given_s, ch.slot3)
+    """Decode-forward scheme with independent per-slot codewords.
 
-    i_x12_y12 = a1 * _mi(j1, (0,), (2,)) if a1 > 0.0 else 0.0
-    i_x12_y1 = a1 * _mi(j1, (0,), (1,)) if a1 > 0.0 else 0.0
-    i_x21_y21 = a2 * _mi(j2, (0,), (2,)) if a2 > 0.0 else 0.0
-    i_x21_y2 = a2 * _mi(j2, (0,), (1,)) if a2 > 0.0 else 0.0
-
-    if a3 > 0.0:
-        t_x13 = a3 * _mi(j3, (1,), (3,), (0, 2))
-        t_x23 = a3 * _mi(j3, (2,), (3,), (0, 1))
-        t_s = a3 * _mi(j3, (1, 2), (3,), (0,))
-        t_all = a3 * _mi(j3, (1, 2), (3,))
-    else:
-        t_x13 = t_x23 = t_s = t_all = 0.0
-
-    r1 = i_x12_y12 + t_x13
-    r2 = i_x21_y21 + t_x23
-    s1 = i_x12_y12 + i_x21_y21 + t_s
-    s2 = i_x12_y1 + i_x21_y21 + t_all
-    s3 = i_x12_y12 + i_x21_y2 + t_all
-    s4 = i_x12_y1 + i_x21_y2 + t_all
-    return LinearRegion((r1,), (r2,), (s1, s2, s3, s4))
+    S is common to both users, so one user's cooperative message alone
+    tells the destination nothing about slot 3.
+    """
+    joints = _joints(ch, dist.pmf_x12, dist.pmf_x21, dist.pmf_s,
+                     dist.pmf_x13_given_s, dist.pmf_x23_given_s)
+    return _caps(slots, joints, _partner, _destination, u=(), v=())
 
 
 def outer_region(variant: str, ch: SlotChannels, dist: OuterInputDistribution,
@@ -357,7 +310,6 @@ def outer_region(variant: str, ch: SlotChannels, dist: OuterInputDistribution,
     and only four caps remain.
     """
     _check(variant in ("pdf", "df"), f"unknown outer variant {variant!r}")
-    a1, a2 = slots.a1, slots.a2
     p_u = dist.pmf_x10_u.sum(axis=0)
     p_v = dist.pmf_x20_v.sum(axis=0)
     # p(u, v, x13, x23) marginalizes the slot-1/2 inputs out of the
@@ -366,24 +318,8 @@ def outer_region(variant: str, ch: SlotChannels, dist: OuterInputDistribution,
     p_x20_given_v = dist.pmf_x20_v / np.where(p_v > 0.0, p_v, 1.0)[None, :]
     p13_uv = np.einsum("xu,uvxa->uva", p_x10_given_u, dist.pmf_x13_given_uvx10)
     p23_uv = np.einsum("xv,uvxa->uva", p_x20_given_v, dist.pmf_x23_given_uvx20)
-    j1, j2, j3 = _joints(ch, dist.pmf_x10_u, dist.pmf_x20_v, p13_uv, p23_uv)
-
-    i_joint1 = a1 * _mi(j1, (0,), (2, 3)) if a1 > 0.0 else 0.0
-    i_y1 = a1 * _mi(j1, (0,), (2,)) if a1 > 0.0 else 0.0
-    i_joint2 = a2 * _mi(j2, (0,), (2, 3)) if a2 > 0.0 else 0.0
-    i_y2 = a2 * _mi(j2, (0,), (2,)) if a2 > 0.0 else 0.0
-
-    t_x13, t_x23, t_uv, t_u, t_v, t_all = _slot3_terms(j3, slots.a3)
-
-    r1 = i_joint1 + t_x13
-    r2 = i_joint2 + t_x23
-    s1 = i_joint1 + i_joint2 + t_uv
-    s4 = i_y1 + i_y2 + t_all
-    if variant == "df":
-        return LinearRegion((r1,), (r2,), (s1, s4))
-    s2 = i_y1 + i_joint2 + t_v
-    s3 = i_joint1 + i_y2 + t_u
-    return LinearRegion((r1,), (r2,), (s1, s2, s3, s4))
+    joints = _uv_joints(ch, dist.pmf_x10_u, dist.pmf_x20_v, p13_uv, p23_uv)
+    return _caps(slots, joints, _both_outputs, _destination, middle=variant == "pdf")
 
 
 def extend_pdf_to_outer(dist: PdfInputDistribution) -> OuterInputDistribution:

@@ -44,7 +44,6 @@ from .core import (
     RatePolygon,
     TimeSlots,
     ValidationError,
-    _check,
     _finite,
     c_gauss,
     polygon_from_constraints,
@@ -64,8 +63,8 @@ class NoiseCorrelation:
     def __post_init__(self) -> None:
         for name in ("rho1", "rho2"):
             v = getattr(self, name)
-            _check(_finite(v) and abs(v) <= 1.0,
-                   f"NoiseCorrelation.{name} must lie in [-1, 1], got {v!r}")
+            if not (_finite(v) and abs(v) <= 1.0):
+                raise ValidationError(f"NoiseCorrelation.{name} must lie in [-1, 1], got {v!r}")
             object.__setattr__(self, name, float(v))
 
 
@@ -170,11 +169,15 @@ def pdf_caps(scheme: str, gains, a1, a2, a3, powers, ops, literal_p1=None, minus
     return r1, r2, (s1, s2, s3, s4)
 
 
+def pdf_powers(a: PdfAllocation):
+    """pdf_caps powers (pu, p10, pv, p20, p13, p23, ac2, ac3, ad2, ad3) of an allocation."""
+    return (a.pu, a.p10, a.pv, a.p20, a.p13, a.p23,
+            a.c2 * a.pu, a.c3 * a.pv, a.d2 * a.pv, a.d3 * a.pu)
+
+
 def _pdf_region(scheme: str, g: ChannelGains, slots: TimeSlots, a: PdfAllocation,
                 literal_p1: float | None = None) -> LinearRegion:
-    powers = (a.pu, a.p10, a.pv, a.p20, a.p13, a.p23,
-              a.c2 * a.pu, a.c3 * a.pv, a.d2 * a.pv, a.d3 * a.pu)
-    r1, r2, sums = pdf_caps(scheme, pdf_gains(g), slots.a1, slots.a2, slots.a3, powers,
+    r1, r2, sums = pdf_caps(scheme, pdf_gains(g), slots.a1, slots.a2, slots.a3, pdf_powers(a),
                             CHECKED_OPS, literal_p1)
     return LinearRegion((r1,), (r2,), sums)
 

@@ -39,7 +39,8 @@ def _reals(values, name: str) -> Tuple[float, ...]:
     bool)."""
     vals = _entries(values, name)
     for v in vals:
-        _check(_finite(v) and v >= 0.0, f"{name} entries must be finite and >= 0, got {v!r}")
+        if not (_finite(v) and v >= 0.0):
+            raise ValidationError(f"{name} entries must be finite and >= 0, got {v!r}")
     return tuple(float(v) for v in vals)
 
 

@@ -86,6 +86,7 @@ from .gaussian import (
     pdf_partial_user_region,
     pdf_caps,
     pdf_gains,
+    pdf_powers,
     pdf_separate_region,
 )
 
@@ -167,7 +168,8 @@ def upper_hull(points: Sequence[Tuple[float, float]]) -> RatePolygon:
     pts = [(float(x), float(y)) for x, y in points]
     _check(len(pts) > 0, "upper_hull needs at least one point")
     for x, y in pts:
-        _check(x >= 0.0 and y >= 0.0, f"upper_hull points must be >= 0, got {(x, y)!r}")
+        if not (x >= 0.0 and y >= 0.0):
+            raise ValidationError(f"upper_hull points must be >= 0, got {(x, y)!r}")
     max_x = max(x for x, _ in pts)
     max_y = max(y for _, y in pts)
     closure = pts + [(0.0, 0.0), (max_x, 0.0), (0.0, max_y)]
@@ -404,8 +406,7 @@ _DF = _Family(name="DF", kernel=df_caps, slot_of=(0, 1, 2, 2, 2, 2), owner=(0, 1
 _PDF = _Family(name="PDF", kernel=pdf_caps, slot_of=(0, 0, 1, 1, 2, 2, 2, 2, 2, 2),
                owner=(0, 0, 1, 1, 0, 1, 0, 0, 1, 1), private=(4, 5), own=(0, 2),
                pairs=((6, 9, 0), (7, 8, 2)),
-               powers=lambda a: (a.pu, a.p10, a.pv, a.p20, a.p13, a.p23, a.c2 * a.pu,
-                                 a.c3 * a.pv, a.d2 * a.pv, a.d3 * a.pu),
+               powers=pdf_powers,
                allocation=_pdf_allocation)
 
 

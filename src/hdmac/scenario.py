@@ -8,7 +8,7 @@ Scenario.  The grammar is documented in the README.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Tuple
 
 import yaml
@@ -152,18 +152,16 @@ def _parse_slots(node, where: str) -> TimeSlots:
     return _wrap(where, lambda: TimeSlots.from_first_two(a1, a2))
 
 
-def _parse_pdf_allocation(node, where: str) -> PdfAllocation:
-    node = _expect_map(node, where)
-    keys = ("p10", "p20", "pu", "pv", "p13", "p23", "c2", "c3", "d2", "d3")
-    _take(node, where, keys, required=keys)
-    return _wrap(where, lambda: PdfAllocation(**{k: _num(node, where, k) for k in keys}))
+def _field_names(record) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(record))
 
 
-def _parse_df_allocation(node, where: str) -> DfAllocation:
+def _parse_allocation(node, where: str, record):
+    """A PdfAllocation or DfAllocation; the keys are the record's fields."""
     node = _expect_map(node, where)
-    keys = ("p12", "p21", "p13", "p23", "ps1", "ps2")
+    keys = _field_names(record)
     _take(node, where, keys, required=keys)
-    return _wrap(where, lambda: DfAllocation(**{k: _num(node, where, k) for k in keys}))
+    return _wrap(where, lambda: record(**{k: _num(node, where, k) for k in keys}))
 
 
 def _parse_rho(node, where: str) -> NoiseCorrelation:
@@ -184,61 +182,38 @@ def _parse_search(node, where: str) -> SearchConfig:
         seed=_int(node, where, "seed", 0)))
 
 
-_DMC_TABLE_DIMS = {
-    "slot1": ("x10", "y1", "y12"),
-    "slot2": ("x20", "y2", "y21"),
-    "slot3": ("x13", "x23", "y3"),
-    "pmf_x10_u": ("x10", "u"),
-    "pmf_x20_v": ("x20", "v"),
-    "pmf_x13_given_uv": ("u", "v", "x13"),
-    "pmf_x23_given_uv": ("u", "v", "x23"),
-    "pmf_x12": ("x12",),
-    "pmf_x21": ("x21",),
-    "pmf_s": ("s",),
-    "pmf_x13_given_s": ("s", "x13"),
-    "pmf_x23_given_s": ("s", "x23"),
-    "pmf_x13_given_uvx10": ("u", "v", "x10", "x13"),
-    "pmf_x23_given_uvx20": ("u", "v", "x20", "x23"),
-}
-
-
-def _parse_table(node, where: str, name: str):
+def _parse_table(node, where: str, dims: Tuple[str, ...]):
     node = _expect_map(node, where)
     _take(node, where, ("dims", "table"), required=("dims", "table"))
-    dims = node["dims"]
-    expected = list(_DMC_TABLE_DIMS[name])
-    if list(dims) != expected:
-        raise ScenarioError(f"{where}.dims: expected {expected}, got {dims!r}")
+    if node["dims"] != list(dims):
+        raise ScenarioError(f"{where}.dims: expected {list(dims)}, got {node['dims']!r}")
     return node["table"]
+
+
+def _parse_tables(node, where: str, record):
+    """A dmc table record built from the entries of ``node`` its fields name."""
+    tables = {f.name: _parse_table(node[f.name], f"{where}.{f.name}", f.metadata["dims"])
+              for f in fields(record)}
+    return _wrap(where, lambda: record(**tables))
+
+
+_DMC_INPUTS = {"pdf_input": PdfInputDistribution, "df_input": DfInputDistribution,
+               "outer_input": OuterInputDistribution}
 
 
 def _parse_dmc(node, where: str) -> DmcSection:
     node = _expect_map(node, where)
-    _take(node, where, ("slot1", "slot2", "slot3", "pdf_input", "df_input", "outer_input"),
-          required=("slot1", "slot2", "slot3"))
-    channels = _wrap(where, lambda: SlotChannels(
-        _parse_table(node["slot1"], f"{where}.slot1", "slot1"),
-        _parse_table(node["slot2"], f"{where}.slot2", "slot2"),
-        _parse_table(node["slot3"], f"{where}.slot3", "slot3")))
-
-    def sub(section, keys, builder):
-        if section not in node:
-            return None
-        sec = _expect_map(node[section], f"{where}.{section}")
-        _take(sec, f"{where}.{section}", keys, required=keys)
-        tables = [_parse_table(sec[k], f"{where}.{section}.{k}", k) for k in keys]
-        return _wrap(f"{where}.{section}", lambda: builder(*tables))
-
-    pdf_input = sub("pdf_input",
-                    ("pmf_x10_u", "pmf_x20_v", "pmf_x13_given_uv", "pmf_x23_given_uv"),
-                    PdfInputDistribution)
-    df_input = sub("df_input",
-                   ("pmf_x12", "pmf_x21", "pmf_s", "pmf_x13_given_s", "pmf_x23_given_s"),
-                   DfInputDistribution)
-    outer_input = sub("outer_input",
-                      ("pmf_x10_u", "pmf_x20_v", "pmf_x13_given_uvx10", "pmf_x23_given_uvx20"),
-                      OuterInputDistribution)
-    return DmcSection(channels, pdf_input, df_input, outer_input)
+    channel_keys = _field_names(SlotChannels)
+    _take(node, where, channel_keys + tuple(_DMC_INPUTS), required=channel_keys)
+    channels = _parse_tables(node, where, SlotChannels)
+    inputs = {}
+    for section, record in _DMC_INPUTS.items():
+        if section in node:
+            sec = _expect_map(node[section], f"{where}.{section}")
+            keys = _field_names(record)
+            _take(sec, f"{where}.{section}", keys, required=keys)
+            inputs[section] = _parse_tables(sec, f"{where}.{section}", record)
+    return DmcSection(channels, **inputs)
 
 
 def _parse_m_user(node, where: str) -> MUserSection:
@@ -300,9 +275,11 @@ def parse_scenario(text: str) -> Scenario:
         search=(_parse_search(doc["search"], "scenario.search")
                 if "search" in doc else SearchConfig()),
         slots=_parse_slots(doc["slots"], "scenario.slots") if "slots" in doc else None,
-        pdf_allocation=(_parse_pdf_allocation(doc["pdf_allocation"], "scenario.pdf_allocation")
+        pdf_allocation=(_parse_allocation(doc["pdf_allocation"], "scenario.pdf_allocation",
+                                          PdfAllocation)
                         if "pdf_allocation" in doc else None),
-        df_allocation=(_parse_df_allocation(doc["df_allocation"], "scenario.df_allocation")
+        df_allocation=(_parse_allocation(doc["df_allocation"], "scenario.df_allocation",
+                                         DfAllocation)
                        if "df_allocation" in doc else None),
         rho=_parse_rho(doc["rho"], "scenario.rho") if "rho" in doc else None,
         separate_literal_p1=flag,
@@ -312,8 +289,9 @@ def parse_scenario(text: str) -> Scenario:
     )
 
 
-def _table_dump(name: str, arr) -> dict:
-    return {"dims": list(_DMC_TABLE_DIMS[name]), "table": arr.tolist()}
+def _tables_dump(record) -> dict:
+    return {f.name: {"dims": list(f.metadata["dims"]), "table": getattr(record, f.name).tolist()}
+            for f in fields(record)}
 
 
 def serialize_scenario(sc: Scenario) -> str:
@@ -330,14 +308,9 @@ def serialize_scenario(sc: Scenario) -> str:
     if sc.slots is not None:
         doc["slots"] = {"a1": sc.slots.a1, "a2": sc.slots.a2, "a3": sc.slots.a3}
     if sc.pdf_allocation is not None:
-        a = sc.pdf_allocation
-        doc["pdf_allocation"] = {k: getattr(a, k) for k in
-                                 ("p10", "p20", "pu", "pv", "p13", "p23",
-                                  "c2", "c3", "d2", "d3")}
+        doc["pdf_allocation"] = asdict(sc.pdf_allocation)
     if sc.df_allocation is not None:
-        a = sc.df_allocation
-        doc["df_allocation"] = {k: getattr(a, k) for k in
-                                ("p12", "p21", "p13", "p23", "ps1", "ps2")}
+        doc["df_allocation"] = asdict(sc.df_allocation)
     if sc.rho is not None:
         doc["rho"] = {"rho1": sc.rho.rho1, "rho2": sc.rho.rho2}
     if sc.separate_literal_p1:
@@ -345,22 +318,11 @@ def serialize_scenario(sc: Scenario) -> str:
     if sc.sweep is not None:
         doc["sweep"] = list(sc.sweep)
     if sc.dmc is not None:
-        d = sc.dmc
-        sec = {"slot1": _table_dump("slot1", d.channels.slot1),
-               "slot2": _table_dump("slot2", d.channels.slot2),
-               "slot3": _table_dump("slot3", d.channels.slot3)}
-        if d.pdf_input is not None:
-            sec["pdf_input"] = {k: _table_dump(k, getattr(d.pdf_input, k)) for k in
-                                ("pmf_x10_u", "pmf_x20_v", "pmf_x13_given_uv",
-                                 "pmf_x23_given_uv")}
-        if d.df_input is not None:
-            sec["df_input"] = {k: _table_dump(k, getattr(d.df_input, k)) for k in
-                               ("pmf_x12", "pmf_x21", "pmf_s", "pmf_x13_given_s",
-                                "pmf_x23_given_s")}
-        if d.outer_input is not None:
-            sec["outer_input"] = {k: _table_dump(k, getattr(d.outer_input, k)) for k in
-                                  ("pmf_x10_u", "pmf_x20_v", "pmf_x13_given_uvx10",
-                                   "pmf_x23_given_uvx20")}
+        sec = _tables_dump(sc.dmc.channels)
+        for section in _DMC_INPUTS:
+            record = getattr(sc.dmc, section)
+            if record is not None:
+                sec[section] = _tables_dump(record)
         doc["dmc"] = sec
     if sc.m_user is not None:
         mu = sc.m_user

@@ -9,11 +9,16 @@ import math
 
 import numpy as np
 
+from hdmac.core import TimeSlots
 from hdmac.dmc import (
     DfInputDistribution,
     OuterInputDistribution,
     PdfInputDistribution,
     SlotChannels,
+    df_region,
+    outer_region,
+    pdf_joint_region,
+    pdf_separate_region,
 )
 from hdmac.muser import MUserAllocation, MUserGains
 from hdmac.muser import power_used as muser_power_used
@@ -98,6 +103,36 @@ def random_outer_input(rng, nx10=2, nu=2, nx20=2, nv=2, nx13=2, nx23=2) -> Outer
     c = rng.dirichlet(np.ones(nx13), size=nu * nv * nx10).reshape(nu, nv, nx10, nx13)
     d = rng.dirichlet(np.ones(nx23), size=nu * nv * nx20).reshape(nu, nv, nx20, nx23)
     return OuterInputDistribution(a, b, c, d)
+
+
+def random_dmc_instance(rng):
+    """(channels, pdf input, df input, outer input, slots) of one random
+    instance: every alphabet has 1-4 symbols, and one draw in four each
+    leaves slot 1, 2 or 3 empty."""
+    (nx1, ny1, ny12, nx2, ny2, ny21, nx13, nx23, ny3,
+     nu, nv, ns) = (int(n) for n in rng.integers(1, 5, size=12))
+    ch = random_slot_channels(rng, nx1, ny1, ny12, nx2, ny2, ny21, nx13, nx23, ny3)
+    pdf = random_pdf_input(rng, nx1, nu, nx2, nv, nx13, nx23)
+    df = random_df_input(rng, nx1, nx2, ns, nx13, nx23)
+    outer = random_outer_input(rng, nx1, nu, nx2, nv, nx13, nx23)
+    fractions = rng.dirichlet(np.ones(3))
+    empty = int(rng.integers(0, 4))
+    if empty:
+        fractions[empty - 1] = 0.0
+        fractions /= fractions.sum()
+    return ch, pdf, df, outer, TimeSlots(*(float(f) for f in fractions))
+
+
+def dmc_region_values(ch, pdf, df, outer, slots):
+    """Every cap of the five DMC regions of one instance, by region name."""
+    regions = {
+        "pdf_joint": pdf_joint_region(ch, pdf, slots),
+        "pdf_separate": pdf_separate_region(ch, pdf, slots),
+        "df": df_region(ch, df, slots),
+        "outer_pdf": outer_region("pdf", ch, outer, slots),
+        "outer_df": outer_region("df", ch, outer, slots),
+    }
+    return {name: [*r.r1_bounds, *r.r2_bounds, *r.sum_bounds] for name, r in regions.items()}
 
 
 def gaussian_conditional_mi_bits(cov, a_idx, b_idx, c_idx=()):

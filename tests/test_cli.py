@@ -1,10 +1,14 @@
 import csv
+import json
+from pathlib import Path
 
 import pytest
 
 from hdmac.cli import export_plot_data, main, run_command
 from hdmac.core import ValidationError
-from hdmac.scenario import parse_scenario
+from hdmac.scenario import parse_scenario, scenario_hash
+
+SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
 PENTAGON_DOC = """
 name: df-pentagon
@@ -279,6 +283,30 @@ class TestMain:
         assert ("PDF_PARTIAL", 3) in seen
         assert all(count == 3 for _, count in seen), seen
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("pmf_x21: {dims: [x21], table: [0.5, 0.5]}",
+         "pmf_x21: {dims: [x21], table: [0.25, 0.25, 0.5]}", "slot-2 input alphabet"),
+        ("pmf_x13_given_s: {dims: [s, x13], table: [[0.5, 0.5], [0.5, 0.5]]}",
+         "pmf_x13_given_s: {dims: [s, x13], table: [[0.25, 0.25, 0.5], [0.25, 0.25, 0.5]]}",
+         "slot-3 input alphabets"),
+        ("{dims: [x12], table: [0.5, 0.5]}", "{dims: 7, table: [0.5, 0.5]}",
+         "scenario.dmc.df_input.pmf_x12.dims"),
+        ("{dims: [x12], table: [0.5, 0.5]}", "{dims: [x12], table: [0.5, abc]}",
+         "scenario.dmc.df_input: pmf_x12"),
+        ("{dims: [x12], table: [0.5, 0.5]}", "{dims: [x12], table: [[0.5], 0.5]}",
+         "scenario.dmc.df_input: pmf_x12"),
+        ("{dims: [x12], table: [0.5, 0.5]}", "{dims: [x12], table: [0.5, 1%s]}" % ("0" * 400),
+         "scenario.dmc.df_input: pmf_x12"),
+    ], ids=["x21_alphabet", "x13_alphabet", "dims", "entry", "ragged", "overflow"])
+    def test_malformed_df_input_exit_two(self, tmp_path, capsys, old, new, message):
+        text = (SCENARIOS / "dmc_binary.yaml").read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(text.replace(old, new), encoding="utf-8")
+        assert main(["dmc", "--scenario", str(scenario), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["region", "--scenario", str(tmp_path / "nope.yaml")]) == 2
 
@@ -289,3 +317,28 @@ class TestMain:
         assert main(["frontier", "--scenario", str(scenario), "--out", str(out),
                      "--seed", "9", "--weights", "3"]) == 0
         assert "# seed: 9" in (out / "frontier.dat").read_text()
+
+
+GOLDEN_CLI = Path(__file__).parent / "data" / "cli_golden"
+
+
+class TestByteIdentity:
+    """tests/data/cli_golden holds the files the closed-form commands wrote
+    for the shipped scenarios, and each scenario's hash, as recorded before
+    dmc.py was rebuilt around one cap composition."""
+
+    @pytest.mark.parametrize("cmd, name", [("region", "symmetric_k2.yaml"),
+                                           ("dmc", "dmc_binary.yaml"),
+                                           ("muser", "three_user.yaml")])
+    def test_outputs_match_recorded_bytes(self, tmp_path, cmd, name):
+        assert main([cmd, "--scenario", str(SCENARIOS / name), "--out", str(tmp_path)]) == 0
+        want = sorted(p.name for p in (GOLDEN_CLI / cmd).iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == want
+        for file in want:
+            assert (tmp_path / file).read_bytes() == (GOLDEN_CLI / cmd / file).read_bytes(), file
+
+    def test_scenario_hashes_unchanged(self):
+        want = json.loads((GOLDEN_CLI / "scenario_hashes.json").read_text(encoding="utf-8"))
+        got = {p.name: scenario_hash(parse_scenario(p.read_text(encoding="utf-8")))
+               for p in sorted(SCENARIOS.glob("*.yaml"))}
+        assert got == want

@@ -1,8 +1,12 @@
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hdmac import dmc
 from hdmac.core import TimeSlots, ValidationError
 from hdmac.dmc import (
     DfInputDistribution,
@@ -16,9 +20,12 @@ from hdmac.dmc import (
     pdf_joint_region,
     pdf_separate_region,
 )
+from hdmac.scenario import parse_scenario
 from helpers import (
+    dmc_region_values,
     naive_conditional_mi,
     random_df_input,
+    random_dmc_instance,
     random_outer_input,
     random_pdf_input,
     random_slot_channels,
@@ -129,6 +136,26 @@ class TestSlotChannelTypes:
             np.full((2, 2, 2), 0.5), np.full((2, 2, 2), 0.5))
         with pytest.raises(ValidationError):
             pdf_joint_region(ch, bad, THIRDS)
+
+    @pytest.mark.parametrize("record, field, shape", [
+        (random_pdf_input, "pmf_x13_given_uv", (3, 2, 2)),
+        (random_df_input, "pmf_x23_given_s", (3, 2)),
+        (random_outer_input, "pmf_x13_given_uvx10", (2, 2, 3, 2)),
+    ])
+    def test_shared_alphabet_mismatch_rejected(self, record, field, shape):
+        base = record(np.random.default_rng(1))
+        with pytest.raises(ValidationError):
+            dataclasses.replace(base, **{field: np.full(shape, 1.0 / shape[-1])})
+
+    @pytest.mark.parametrize("field, shape", [("pmf_x21", (3,)), ("pmf_x13_given_s", (2, 3))])
+    def test_mismatched_df_input_rejected(self, field, shape):
+        ch = noiseless_channels()
+        base = DfInputDistribution(np.array([0.5, 0.5]), np.array([0.5, 0.5]),
+                                   np.array([0.5, 0.5]), np.full((2, 2), 0.5),
+                                   np.full((2, 2), 0.5))
+        bad = dataclasses.replace(base, **{field: np.full(shape, 1.0 / shape[-1])})
+        with pytest.raises(ValidationError):
+            df_region(ch, bad, THIRDS)
 
 
 class TestPdfJointRegionDmc:
@@ -275,6 +302,16 @@ class TestOuterRegionDmc:
         assert r_df.sum_bounds[0] == pytest.approx(r_pdf.sum_bounds[0], abs=1e-15)
         assert r_df.sum_bounds[1] == pytest.approx(r_pdf.sum_bounds[3], abs=1e-15)
 
+    def test_df_variant_skips_the_dropped_terms(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        ch, outer = random_slot_channels(rng), random_outer_input(rng)
+        calls = []
+        real = dmc._mi
+        monkeypatch.setattr(dmc, "_mi", lambda *args: calls.append(args) or real(*args))
+        outer_region("df", ch, outer, THIRDS)
+        # four slot-1/2 terms, then X13, X23, UV and the unconditioned sum
+        assert len(calls) == 8
+
     def test_point_mass_inputs_zero(self):
         ch = noiseless_channels()
         a = np.zeros((2, 2))
@@ -307,3 +344,30 @@ class TestMiTermsAgainstFullJointOracle:
                       + naive_conditional_mi(j3, (2, 3), (4,)))
         assert r.r1_bounds[0] == pytest.approx(r1, abs=1e-12)
         assert r.sum_bounds[3] == pytest.approx(s4, abs=1e-12)
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "dmc_golden.json").read_text())
+
+
+def golden_instance(name):
+    if name == "dmc_binary.yaml":
+        text = (Path(__file__).parents[1] / "scenarios" / name).read_text(encoding="utf-8")
+        sc = parse_scenario(text)
+        d = sc.dmc
+        return d.channels, d.pdf_input, d.df_input, d.outer_input, sc.slots
+    return random_dmc_instance(np.random.default_rng(int(name.split()[1])))
+
+
+class TestGoldenRegions:
+    """tests/data/dmc_golden.json holds the five regions of the shipped
+    binary scenario and of the instance random_dmc_instance draws from
+    default_rng(seed) for each seed 0 ... 31 (alphabets of 1-4 symbols, some
+    with slot 1, 2 or 3 empty), as the per-region compositions that preceded
+    dmc._caps computed them."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_regions_match_recorded_bounds(self, name):
+        got = dmc_region_values(*golden_instance(name))
+        assert list(got) == list(GOLDEN[name])
+        for region, caps in got.items():
+            assert caps == pytest.approx(GOLDEN[name][region], rel=0, abs=1e-13), region
