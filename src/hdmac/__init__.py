@@ -45,6 +45,7 @@ from .verify import (
     pdf_to_df_allocation,
     replay_witness,
     verify_achievable_in_outer,
+    verify_claims,
     verify_degraded_capacity,
     verify_full_vs_partial_user_decoding,
     verify_joint_dominates_separate,

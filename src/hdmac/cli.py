@@ -21,13 +21,7 @@ from .core import DfAllocation, PdfAllocation, ValidationError, polygon_from_con
 from .muser import muser_achievable_constraints, muser_condition_check, muser_outer_constraints
 from .optimize import FrontierResult, frontier, region_contains, scheme_region
 from .scenario import Scenario, ScenarioError, parse_scenario, scenario_hash
-from .verify import (
-    verify_achievable_in_outer,
-    verify_degraded_capacity,
-    verify_full_vs_partial_user_decoding,
-    verify_joint_dominates_separate,
-    verify_pdf_df_equivalence,
-)
+from .verify import verify_claims
 
 COMMANDS = ("region", "frontier", "sweep", "muser", "dmc", "verify")
 DEFAULT_WEIGHTS = 17
@@ -215,17 +209,9 @@ def _cmd_dmc(sc: Scenario, out: Path, weights: int) -> int:
 
 
 def _cmd_verify(sc: Scenario, out: Path, weights: int) -> int:
-    cfg = sc.search
-    verdicts = [
-        verify_pdf_df_equivalence(sc.gains, sc.budget, cfg, weights),
-        verify_joint_dominates_separate(sc.gains, sc.budget, samples=100, seed=cfg.seed),
-        verify_achievable_in_outer(sc.gains, sc.budget, cfg, weights),
-        verify_degraded_capacity(sc.gains, sc.budget, cfg, weights),
-        verify_full_vs_partial_user_decoding(sc.gains, sc.budget, cfg, weights),
-    ]
     rows = []
     failed = 0
-    for v in verdicts:
+    for v in verify_claims(sc.gains, sc.budget, weights, sc.search.seed):
         witness_path = ""
         if v.witness is not None:
             witness_path = f"witness_{v.claim}.json"

@@ -199,14 +199,6 @@ class RatePolygon:
                 raise ValidationError(
                     f"RatePolygon vertices must be finite and >= 0, got {(x, y)!r}")
 
-    @property
-    def max_r1(self) -> float:
-        return max(v[0] for v in self.vertices)
-
-    @property
-    def max_r2(self) -> float:
-        return max(v[1] for v in self.vertices)
-
 
 def c_gauss(x: float) -> float:
     """Gaussian capacity 0.5*log2(1+x) in bits, for SNR x >= 0."""

@@ -34,6 +34,8 @@ slot3 : p(y3 | x13, x23) shape (X13, X23, Y3)
 
 from __future__ import annotations
 
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 from typing import Tuple
 
@@ -148,9 +150,12 @@ def _mi(joint: np.ndarray, a_axes: Tuple[int, ...], b_axes: Tuple[int, ...],
 
 
 def _axes(spec, name: str) -> Tuple[int, ...]:
-    if isinstance(spec, int):
-        return (spec,)
-    out = tuple(int(a) for a in spec)
+    """An axis group: one axis or an iterable of axes, each an integer (numpy
+    integers included, bool excluded)."""
+    group = tuple(spec) if isinstance(spec, Iterable) else (spec,)
+    if not all(isinstance(a, numbers.Integral) and not isinstance(a, bool) for a in group):
+        raise ValidationError(f"{name} must be integer axes, got {spec!r}")
+    out = tuple(int(a) for a in group)
     _check(len(out) == len(set(out)), f"{name} axes must be distinct")
     return out
 

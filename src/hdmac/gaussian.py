@@ -7,19 +7,17 @@ PDF_SEPARATE, PDF_PARTIAL) and ``muser_caps`` for m-user decode-forward.
 outer bounds OUTER and DEGRADED differ only in the effective inter-user
 gains built by ``df_gains`` and in whether the two middle sum caps are
 dropped.  A kernel maps slot fractions and per-slot powers to caps.  It
-uses only addition, subtraction, scaling by constants and three primitives
-passed in as ``ops = (term, gmean, min)``, where ``term(alpha, num, noise)``
-is alpha * C(num / noise), ``gmean(x, y)`` is sqrt(x * y) and ``min`` takes
-two arguments, so the same source runs on Python floats, numpy arrays and
-dual numbers:
+uses only addition, subtraction, scaling by constants and two primitives
+passed in as ``ops = (term, gmean)``, where ``term(alpha, num, noise)`` is
+alpha * C(num / noise) and ``gmean(x, y)`` is sqrt(x * y), so the same
+source runs on Python floats, numpy arrays and dual numbers:
 
 - ``CHECKED_OPS`` validate their arguments; the ``*_region`` functions use
   them and return a LinearRegion (one R1 cap, one R2 cap, the sum caps in the
   scheme's order);
 - ``dual_term`` carries gradients for the optimizer's concave solves, which
-  pass their own coherent-energy variables in place of ``gmean`` and need
-  no ``min``: the kernels take one only for PDF_SEPARATE's ``literal_p1``
-  variant, which the optimizer never passes.
+  pass their own coherent-energy variables in place of ``gmean`` and never
+  PDF_SEPARATE's ``literal_p1``, whose builtin ``min`` needs floats.
 
 A slot of zero length contributes exactly zero regardless of the allocation,
 so boundary slot splits are safe.
@@ -105,7 +103,7 @@ def dual_term(alpha, num, noise: float):
     return out
 
 
-CHECKED_OPS = (_term, _gmean, min)
+CHECKED_OPS = (_term, _gmean)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +127,7 @@ def pdf_caps(scheme: str, gains, a1, a2, a3, powers, ops, literal_p1=None, minus
     term(a2, K21^2 p20); ``minus`` replaces that pair, which is how the
     optimizer's convex-concave procedure passes their linearizations.
     """
-    term, gmean, mn = ops
+    term, gmean = ops
     k12s, k21s, k10, k20, n = gains
     pu, p10, pv, p20, p13, p23, ac2, ac3, ad2, ad3 = powers
     k10s = k10 * k10
@@ -156,7 +154,7 @@ def pdf_caps(scheme: str, gains, a1, a2, a3, powers, ops, literal_p1=None, minus
         u2 = term(a2, k20s * su2, n)
     u1_last = u1
     if literal_p1 is not None:
-        u1_last = mn(term(a1, k12s * literal_p1, n), term(a1, k10s * p10, n))
+        u1_last = min(term(a1, k12s * literal_p1, n), term(a1, k10s * p10, n))
     priv = k10s * p13 + k20s * p23
     coh_u = k10s * ac2 + k20s * ad3 + 2.0 * k10 * k20 * gmean(ac2, ad3)
     coh_v = k10s * ac3 + k20s * ad2 + 2.0 * k10 * k20 * gmean(ac3, ad2)
@@ -248,7 +246,7 @@ def muser_caps(gains, slots, powers, ops):
     cap s (masks 1 ... 2^m - 1) bounds the sum rate of the users in s; total
     cap s (masks 0 ... 2^m - 1) the total sum rate, the users in s credited
     their gain and the rest their direct link."""
-    term, gmean, _ = ops
+    term, gmean = ops
     credited, dest, n = gains
     p_solo, p_priv, p_coop = powers
     a_last = slots[-1]

@@ -244,41 +244,40 @@ def scheme_region(scheme: str, g: ChannelGains, slots: TimeSlots,
 # ---------------------------------------------------------------------------
 
 def _shares(a1, a2, g1, g2, p_1: float, p_2: float):
-    """Slot-3 fraction and each user's powers (own slot, slot 3) for own-slot
-    budget shares g1 and g2.  An empty own slot gets no power; an empty
-    slot 3 leaves the whole budget to the own slot."""
+    """Each user's powers (own slot, slot 3) for own-slot budget shares g1
+    and g2.  An empty own slot gets no power; an empty slot 3 leaves the
+    whole budget to the own slot."""
     a3 = 1.0 - a1 - a2
     on1, on2, on3 = a1 > 0.0, a2 > 0.0, a3 > 0.0
     off3 = a3 <= 0.0
     g1 = g1 * on1 * on3 + off3
     g2 = g2 * on2 * on3 + off3
     d3 = a3 + off3
-    return (a3 * on3,
-            g1 * p_1 / (a1 + (a1 <= 0.0)) * on1, (1.0 - g1) * p_1 / d3 * on3,
+    return (g1 * p_1 / (a1 + (a1 <= 0.0)) * on1, (1.0 - g1) * p_1 / d3 * on3,
             g2 * p_2 / (a2 + (a2 <= 0.0)) * on2, (1.0 - g2) * p_2 / d3 * on3)
 
 
 def _df_split(x, p_1: float, p_2: float):
-    """x = (a1, a2, g1, h1, g2, h2) -> (a3, df_caps powers).
+    """x = (a1, a2, g1, h1, g2, h2) -> df_caps powers.
 
     gk is user k's own-slot budget share and hk the private share of its
     slot-3 power; the rest of the slot-3 power goes to the coherent symbol.
     """
-    a3, p12, b1, p21, b2 = _shares(x[0], x[1], x[2], x[4], p_1, p_2)
+    p12, b1, p21, b2 = _shares(x[0], x[1], x[2], x[4], p_1, p_2)
     p13 = x[3] * b1
     p23 = x[5] * b2
-    return a3, (p12, p21, p13, p23, b1 - p13, b2 - p23)
+    return p12, p21, p13, p23, b1 - p13, b2 - p23
 
 
 def _pdf_split(x, p_1: float, p_2: float):
-    """x = (a1, a2, g1, s1, ta1, tb1, g2, s2, ta2, tb2) -> (a3, pdf_caps powers).
+    """x = (a1, a2, g1, s1, ta1, tb1, g2, s2, ta2, tb2) -> pdf_caps powers.
 
     gk is user k's own-slot budget share, sk the public share of its slot
     power, tak the private share of its slot-3 power and tbk the share of
     the remaining slot-3 power re-spent on its own public symbol (the rest
     goes to the partner's).
     """
-    a3, slot1, b1, slot2, b2 = _shares(x[0], x[1], x[2], x[6], p_1, p_2)
+    slot1, b1, slot2, b2 = _shares(x[0], x[1], x[2], x[6], p_1, p_2)
     pu = x[3] * slot1
     pv = x[7] * slot2
     p13 = x[4] * b1
@@ -292,9 +291,9 @@ def _pdf_split(x, p_1: float, p_2: float):
     # atoms riding on a public symbol that carries no power become private
     u_on, v_on = pu > 0.0, pv > 0.0
     u_off, v_off = pu <= 0.0, pv <= 0.0
-    return a3, (pu, slot1 - pu, pv, slot2 - pv,
-                p13 + ac2 * u_off + ac3 * v_off, p23 + ad3 * u_off + ad2 * v_off,
-                ac2 * u_on, ac3 * v_on, ad2 * v_on, ad3 * u_on)
+    return (pu, slot1 - pu, pv, slot2 - pv,
+            p13 + ac2 * u_off + ac3 * v_off, p23 + ad3 * u_off + ad2 * v_off,
+            ac2 * u_on, ac3 * v_on, ad2 * v_on, ad3 * u_on)
 
 
 def _pdf_allocation(powers) -> PdfAllocation:
@@ -313,8 +312,8 @@ def _unit_cube_allocation(pdf: bool, x, budget: PowerBudget):
     slot 3 has any length."""
     slots = TimeSlots.from_first_two(x[0], x[1])
     if pdf:
-        return slots, _pdf_allocation(_pdf_split(x, budget.p1, budget.p2)[1])
-    return slots, DfAllocation(*_df_split(x, budget.p1, budget.p2)[1])
+        return slots, _pdf_allocation(_pdf_split(x, budget.p1, budget.p2))
+    return slots, DfAllocation(*_df_split(x, budget.p1, budget.p2))
 
 
 def sample_allocation(scheme: str, g: ChannelGains, budget: PowerBudget, rng,
@@ -435,7 +434,7 @@ def _dual_caps(kernel, family: _Family, z):
     powers = (basis[2:] - p[:, None] * a) / a[:, :1]
     powers[:, 0] = p
     coherent = iter(powers[len(family.slot_of):])
-    ops = (dual_term, lambda x, y: next(coherent), None)
+    ops = (dual_term, lambda x, y: next(coherent))
     return kernel(*slots, list(powers[:len(family.slot_of)]), ops)
 
 

@@ -126,22 +126,6 @@ def _wrap(where: str, build):
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
-def _parse_gains(node, where: str) -> ChannelGains:
-    node = _expect_map(node, where)
-    _take(node, where, ("k12", "k21", "k10", "k20", "noise"),
-          required=("k12", "k21", "k10", "k20", "noise"))
-    return _wrap(where, lambda: ChannelGains(
-        k12=_num(node, where, "k12"), k21=_num(node, where, "k21"),
-        k10=_num(node, where, "k10"), k20=_num(node, where, "k20"),
-        noise=_num(node, where, "noise")))
-
-
-def _parse_budget(node, where: str) -> PowerBudget:
-    node = _expect_map(node, where)
-    _take(node, where, ("p1", "p2"), required=("p1", "p2"))
-    return _wrap(where, lambda: PowerBudget(_num(node, where, "p1"), _num(node, where, "p2")))
-
-
 def _parse_slots(node, where: str) -> TimeSlots:
     node = _expect_map(node, where)
     _take(node, where, ("a1", "a2", "a3"), required=("a1", "a2"))
@@ -156,19 +140,13 @@ def _field_names(record) -> Tuple[str, ...]:
     return tuple(f.name for f in fields(record))
 
 
-def _parse_allocation(node, where: str, record):
-    """A PdfAllocation or DfAllocation; the keys are the record's fields."""
+def _parse_record(node, where: str, record):
+    """A record whose every field is a number and a required key: the gains,
+    the budget, rho and the allocations."""
     node = _expect_map(node, where)
     keys = _field_names(record)
     _take(node, where, keys, required=keys)
     return _wrap(where, lambda: record(**{k: _num(node, where, k) for k in keys}))
-
-
-def _parse_rho(node, where: str) -> NoiseCorrelation:
-    node = _expect_map(node, where)
-    _take(node, where, ("rho1", "rho2"), required=("rho1", "rho2"))
-    return _wrap(where, lambda: NoiseCorrelation(_num(node, where, "rho1"),
-                                                 _num(node, where, "rho2")))
 
 
 def _parse_search(node, where: str) -> SearchConfig:
@@ -270,18 +248,19 @@ def parse_scenario(text: str) -> Scenario:
 
     return Scenario(
         name=name,
-        gains=_parse_gains(doc["gains"], "scenario.gains"),
-        budget=_parse_budget(doc["budget"], "scenario.budget"),
+        gains=_parse_record(doc["gains"], "scenario.gains", ChannelGains),
+        budget=_parse_record(doc["budget"], "scenario.budget", PowerBudget),
         search=(_parse_search(doc["search"], "scenario.search")
                 if "search" in doc else SearchConfig()),
         slots=_parse_slots(doc["slots"], "scenario.slots") if "slots" in doc else None,
-        pdf_allocation=(_parse_allocation(doc["pdf_allocation"], "scenario.pdf_allocation",
-                                          PdfAllocation)
+        pdf_allocation=(_parse_record(doc["pdf_allocation"], "scenario.pdf_allocation",
+                                      PdfAllocation)
                         if "pdf_allocation" in doc else None),
-        df_allocation=(_parse_allocation(doc["df_allocation"], "scenario.df_allocation",
-                                         DfAllocation)
+        df_allocation=(_parse_record(doc["df_allocation"], "scenario.df_allocation",
+                                     DfAllocation)
                        if "df_allocation" in doc else None),
-        rho=_parse_rho(doc["rho"], "scenario.rho") if "rho" in doc else None,
+        rho=(_parse_record(doc["rho"], "scenario.rho", NoiseCorrelation)
+             if "rho" in doc else None),
         separate_literal_p1=flag,
         sweep=sweep,
         dmc=_parse_dmc(doc["dmc"], "scenario.dmc") if "dmc" in doc else None,
@@ -296,23 +275,16 @@ def _tables_dump(record) -> dict:
 
 def serialize_scenario(sc: Scenario) -> str:
     """Serialize a Scenario back to its document form (stable key order)."""
-    doc: dict = {
-        "name": sc.name,
-        "gains": {"k12": sc.gains.k12, "k21": sc.gains.k21, "k10": sc.gains.k10,
-                  "k20": sc.gains.k20, "noise": sc.gains.noise},
-        "budget": {"p1": sc.budget.p1, "p2": sc.budget.p2},
-        "search": {"slot_grid": sc.search.slot_grid, "power_grid": sc.search.power_grid,
-                   "refine_iters": sc.search.refine_iters,
-                   "refine_shrink": sc.search.refine_shrink, "seed": sc.search.seed},
-    }
+    doc: dict = {"name": sc.name, "gains": asdict(sc.gains), "budget": asdict(sc.budget),
+                 "search": asdict(sc.search)}
     if sc.slots is not None:
-        doc["slots"] = {"a1": sc.slots.a1, "a2": sc.slots.a2, "a3": sc.slots.a3}
+        doc["slots"] = asdict(sc.slots)
     if sc.pdf_allocation is not None:
         doc["pdf_allocation"] = asdict(sc.pdf_allocation)
     if sc.df_allocation is not None:
         doc["df_allocation"] = asdict(sc.df_allocation)
     if sc.rho is not None:
-        doc["rho"] = {"rho1": sc.rho.rho1, "rho2": sc.rho.rho2}
+        doc["rho"] = asdict(sc.rho)
     if sc.separate_literal_p1:
         doc["separate_literal_p1"] = True
     if sc.sweep is not None:

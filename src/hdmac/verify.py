@@ -1,10 +1,13 @@
 """Executable verdicts for the structural claims about the Gaussian regions.
 
 Each verify_* operation checks one claim on a concrete scenario and returns
-a Verdict with a quantified worst slack and a replayable witness.  Every
-weight direction of a frontier is one independent solve.  Hulls traced from
-finitely many directions are inner approximations, so claims that compare
-two regions' hulls also evaluate each region at the other scheme's optima.
+a Verdict with a quantified worst slack and a replayable witness.  Claims
+about optimized regions check frontiers they are given, of the schemes
+they name and over the same weight directions; ``verify_claims`` traces
+each scheme's frontier once and checks every claim on them.  Hulls traced
+from finitely many directions are inner approximations, so claims that
+compare two regions' hulls also evaluate each region at the other scheme's
+optima.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import List, Optional
 
 from .core import (
     ChannelGains,
@@ -22,6 +25,7 @@ from .core import (
     RatePolygon,
     TimeSlots,
     ValidationError,
+    _check,
     polygon_from_constraints,
     power_used,
 )
@@ -35,12 +39,14 @@ from .gaussian import (
     pdf_separate_region,
 )
 from .optimize import (
+    FrontierResult,
     SearchConfig,
     frontier,
     optimize_scheme,
     point_slack,
     region_contains,
     sample_allocation,
+    swap_allocation,
     upper_hull,
     weighted_best_vertex,
 )
@@ -50,6 +56,10 @@ CONTAIN_TOL = 1e-9
 HULL_TOL = 1e-6
 EXACT_TOL = 1e-12
 STRICT_GAP = 1e-6
+SAMPLES = 100            # random allocations per sampled claim
+# frontier and optimize_scheme still take a SearchConfig that has no effect;
+# this goes once perfbench stops passing one
+_CFG = SearchConfig()
 
 
 @dataclass(frozen=True)
@@ -91,28 +101,20 @@ def df_to_pdf_allocation(a: DfAllocation, empty: str) -> PdfAllocation:
     """Reverse embedding with one public symbol dropped.
 
     empty="v": user 2 sends no public part; the shared symbol's power rides
-    entirely on U.  empty="u" is the mirror case.  Coherent power with no
-    carrier left becomes private slot-3 power.
+    entirely on U.  empty="u" is the mirror case, built with the users
+    swapped.  Coherent power with no carrier left becomes private slot-3
+    power.
     """
-    if empty == "v":
-        pu = a.p12
-        if pu > 0.0:
-            return PdfAllocation(p10=0.0, p20=a.p21, pu=pu, pv=0.0,
-                                 p13=a.p13, p23=a.p23,
-                                 c2=a.ps1 / pu, c3=0.0, d2=0.0, d3=a.ps2 / pu)
-        return PdfAllocation(p10=0.0, p20=a.p21, pu=0.0, pv=0.0,
-                             p13=a.p13 + a.ps1, p23=a.p23 + a.ps2,
-                             c2=0.0, c3=0.0, d2=0.0, d3=0.0)
     if empty == "u":
-        pv = a.p21
-        if pv > 0.0:
-            return PdfAllocation(p10=a.p12, p20=0.0, pu=0.0, pv=pv,
-                                 p13=a.p13, p23=a.p23,
-                                 c2=0.0, c3=a.ps1 / pv, d2=a.ps2 / pv, d3=0.0)
-        return PdfAllocation(p10=a.p12, p20=0.0, pu=0.0, pv=0.0,
-                             p13=a.p13 + a.ps1, p23=a.p23 + a.ps2,
-                             c2=0.0, c3=0.0, d2=0.0, d3=0.0)
-    raise ValidationError(f"empty must be 'u' or 'v', got {empty!r}")
+        return swap_allocation(df_to_pdf_allocation(swap_allocation(a), "v"))
+    _check(empty == "v", f"empty must be 'u' or 'v', got {empty!r}")
+    pu = a.p12
+    if pu > 0.0:
+        return PdfAllocation(p10=0.0, p20=a.p21, pu=pu, pv=0.0, p13=a.p13, p23=a.p23,
+                             c2=a.ps1 / pu, c3=0.0, d2=0.0, d3=a.ps2 / pu)
+    return PdfAllocation(p10=0.0, p20=a.p21, pu=0.0, pv=0.0,
+                         p13=a.p13 + a.ps1, p23=a.p23 + a.ps2,
+                         c2=0.0, c3=0.0, d2=0.0, d3=0.0)
 
 
 def _cross(region, points) -> list:
@@ -138,6 +140,28 @@ def _degraded_gap(g: ChannelGains, slots: TimeSlots, alloc: DfAllocation,
                abs(ro.sum_bounds[1] - rd.sum_bounds[3]))
 
 
+def degraded_rho(g: ChannelGains) -> Optional[NoiseCorrelation]:
+    """Noise correlations (K10/K12, K20/K21) under which the DEGRADED bound
+    collapses onto DF, or None unless K12 > K10 and K21 > K20."""
+    if g.k12 > g.k10 and g.k21 > g.k20:
+        return NoiseCorrelation(g.k10 / g.k12, g.k20 / g.k21)
+    return None
+
+
+def _check_frontiers(claim: str, **given: FrontierResult) -> None:
+    """Each frontier argument, named fr_<scheme>, is of the scheme the claim
+    expects, and all were traced over the same weight directions."""
+    want = {"fr_pdf": "PDF_JOINT", "fr_full": "PDF_JOINT", "fr_part": "PDF_PARTIAL",
+            "fr_df": "DF", "fr_out": "OUTER", "fr_deg": "DEGRADED"}
+    for name, fr in given.items():
+        _check(isinstance(fr, FrontierResult) and fr.scheme == want[name],
+               f"{claim}: {name} must be a frontier of scheme {want[name]}, got "
+               f"{getattr(fr, 'scheme', fr)!r}")
+    mus = [[r.mu for r in fr.points] for fr in given.values()]
+    _check(all(m == mus[0] for m in mus),
+           f"{claim}: {' and '.join(given)} were traced over different weight directions")
+
+
 # the claims whose witness is one allocation, checked as full decoding's
 # polygon containing the other scheme's
 _INNER = {"joint_dominates_separate": pdf_separate_region,
@@ -149,14 +173,13 @@ def _region_vertex_slack(region, vertex) -> float:
     return point_slack(poly.vertices, vertex)
 
 
-def verify_pdf_df_equivalence(g: ChannelGains, budget: PowerBudget, cfg: SearchConfig,
-                              weight_count: int) -> Verdict:
-    """The two schemes' optimized frontiers coincide, and the allocation
+def verify_pdf_df_equivalence(g: ChannelGains, fr_pdf: FrontierResult,
+                              fr_df: FrontierResult) -> Verdict:
+    """The PDF_JOINT and DF frontiers coincide, and the allocation
     substitutions carry each scheme's optima into the other without losing
     feasibility or objective."""
-    fr_pdf = frontier(g, budget, "PDF_JOINT", weight_count, cfg)
+    _check_frontiers("pdf_df_equivalence", fr_pdf=fr_pdf, fr_df=fr_df)
     forward = [(r.slots, pdf_to_df_allocation(r.allocation)) for r in fr_pdf.points]
-    fr_df = frontier(g, budget, "DF", weight_count, cfg)
 
     max_gap = 0.0
     gap_witness = None
@@ -260,12 +283,11 @@ def verify_joint_dominates_separate(g: ChannelGains, budget: PowerBudget,
     )
 
 
-def verify_achievable_in_outer(g: ChannelGains, budget: PowerBudget, cfg: SearchConfig,
-                               weight_count: int) -> Verdict:
-    """The optimized decode-forward hull sits inside the optimized outer hull;
-    also reports the equal-weight sum-rate gap between them."""
-    fr_df = frontier(g, budget, "DF", weight_count, cfg)
-    fr_out = frontier(g, budget, "OUTER", weight_count, cfg)
+def verify_achievable_in_outer(g: ChannelGains, budget: PowerBudget, fr_df: FrontierResult,
+                               fr_out: FrontierResult) -> Verdict:
+    """The DF frontier's hull sits inside the OUTER frontier's; also reports
+    the equal-weight sum-rate gap between the two schemes."""
+    _check_frontiers("achievable_in_outer", fr_df=fr_df, fr_out=fr_out)
     # the outer region at each decode-forward optimum covers that optimum's
     # vertex; the sampled outer hull alone is an inner approximation that can
     # miss it
@@ -273,8 +295,8 @@ def verify_achievable_in_outer(g: ChannelGains, budget: PowerBudget, cfg: Search
     hull_out = upper_hull([r.vertex for r in fr_out.points] + cross)
     ok, worst = region_contains(hull_out, fr_df.hull, HULL_TOL)
 
-    r_df = optimize_scheme(g, budget, "DF", (1.0, 1.0), cfg)
-    r_out = optimize_scheme(g, budget, "OUTER", (1.0, 1.0), cfg)
+    r_df = optimize_scheme(g, budget, "DF", (1.0, 1.0), _CFG)
+    r_out = optimize_scheme(g, budget, "OUTER", (1.0, 1.0), _CFG)
     gap = r_out.value - r_df.value
     witness = {
         "df_hull": [list(v) for v in fr_df.hull.vertices],
@@ -290,20 +312,24 @@ def verify_achievable_in_outer(g: ChannelGains, budget: PowerBudget, cfg: Search
     )
 
 
-def verify_degraded_capacity(g: ChannelGains, budget: PowerBudget, cfg: SearchConfig,
-                             weight_count: int, samples: int = 100) -> Verdict:
-    """With noise correlations K10/K12 and K20/K21 the correlated-noise outer
-    bound collapses onto the decode-forward region, bound by bound and as
-    optimized hulls.  Requires K12 > K10 and K21 > K20."""
-    if not (g.k12 > g.k10 and g.k21 > g.k20):
+def verify_degraded_capacity(g: ChannelGains, budget: PowerBudget, fr_df: FrontierResult,
+                             fr_deg: Optional[FrontierResult], seed: int) -> Verdict:
+    """With the noise correlations of ``degraded_rho`` the correlated-noise
+    outer bound collapses onto the decode-forward region, bound by bound on
+    seeded random allocations and as the hulls of the DF and DEGRADED
+    frontiers (the latter traced at ``degraded_rho(g)``).  Where
+    ``degraded_rho`` is None the claim does not apply and neither frontier
+    is read."""
+    rho = degraded_rho(g)
+    if rho is None:
         return Verdict(claim="degraded_capacity", passed=True, worst_slack=math.inf,
                        tolerance=EXACT_TOL, witness=None, applicable=False,
                        details={"reason": "requires k12 > k10 and k21 > k20"})
-    rho = NoiseCorrelation(g.k10 / g.k12, g.k20 / g.k21)
-    rng = random.Random(cfg.seed)
+    _check_frontiers("degraded_capacity", fr_df=fr_df, fr_deg=fr_deg)
+    rng = random.Random(seed)
     max_diff = 0.0
     witness = None
-    for _ in range(samples):
+    for _ in range(SAMPLES):
         slots, alloc = sample_allocation("DF", g, budget, rng)
         diff = _degraded_gap(g, slots, alloc, rho)
         if diff >= max_diff:
@@ -311,8 +337,6 @@ def verify_degraded_capacity(g: ChannelGains, budget: PowerBudget, cfg: SearchCo
             witness = {"slots": _slots_dict(slots), "allocation": asdict(alloc),
                        "rho1": rho.rho1, "rho2": rho.rho2}
 
-    fr_df = frontier(g, budget, "DF", weight_count, cfg)
-    fr_deg = frontier(g, budget, "DEGRADED", weight_count, cfg, rho=rho)
     # evaluate each frontier's optima under the other region so both hulls
     # cover the union of evaluated allocations; any pointwise difference
     # between the regions would surface here
@@ -330,23 +354,24 @@ def verify_degraded_capacity(g: ChannelGains, budget: PowerBudget, cfg: SearchCo
         worst_slack=-max_diff,
         tolerance=EXACT_TOL,
         witness=witness,
-        details={"samples": samples, "hull_slack": min(s1, s2),
+        details={"samples": SAMPLES, "hull_slack": min(s1, s2),
                  "hull_tolerance": HULL_TOL},
     )
 
 
 def verify_full_vs_partial_user_decoding(g: ChannelGains, budget: PowerBudget,
-                                         cfg: SearchConfig, weight_count: int = 9,
-                                         samples: int = 100) -> Verdict:
-    """Full decoding at each user dominates partial decoding at fixed
+                                         fr_full: FrontierResult, fr_part: FrontierResult,
+                                         seed: int) -> Verdict:
+    """Full decoding at each user dominates partial decoding at seeded random
     allocations with slot-1/2 private power (when the inter-user links are
-    stronger), while the optimized frontiers coincide."""
-    rng = random.Random(cfg.seed)
+    stronger), while the PDF_JOINT and PDF_PARTIAL frontiers coincide."""
+    _check_frontiers("full_vs_partial_user_decoding", fr_full=fr_full, fr_part=fr_part)
+    rng = random.Random(seed)
     worst = math.inf
     witness = None
     containment_applicable = g.k12 > g.k10 and g.k21 > g.k20
     if containment_applicable:
-        for _ in range(samples):
+        for _ in range(SAMPLES):
             slots, alloc = sample_allocation("PDF_JOINT", g, budget, rng, interior=True)
             slack = _containment_slack(pdf_joint_region(g, slots, alloc),
                                        pdf_partial_user_region(g, slots, alloc))
@@ -354,8 +379,6 @@ def verify_full_vs_partial_user_decoding(g: ChannelGains, budget: PowerBudget,
                 worst = slack
                 witness = {"slots": _slots_dict(slots), "allocation": asdict(alloc)}
 
-    fr_full = frontier(g, budget, "PDF_JOINT", weight_count, cfg)
-    fr_part = frontier(g, budget, "PDF_PARTIAL", weight_count, cfg)
     max_gap = max(abs(a.value - b.value) for a, b in zip(fr_full.points, fr_part.points))
 
     passed = (not containment_applicable or worst >= -CONTAIN_TOL) and max_gap <= FRONTIER_TOL
@@ -368,6 +391,26 @@ def verify_full_vs_partial_user_decoding(g: ChannelGains, budget: PowerBudget,
         details={"max_frontier_gap": max_gap,
                  "containment_checked": containment_applicable},
     )
+
+
+def verify_claims(g: ChannelGains, budget: PowerBudget, weight_count: int,
+                  seed: int) -> List[Verdict]:
+    """Every claim on one scenario, each scheme's frontier traced once over
+    ``weight_count`` directions: pdf_df_equivalence, joint_dominates_separate,
+    achievable_in_outer, degraded_capacity and full_vs_partial_user_decoding,
+    in that order.  DEGRADED is traced only where ``degraded_rho`` applies."""
+    fr = {scheme: frontier(g, budget, scheme, weight_count, _CFG)
+          for scheme in ("PDF_JOINT", "DF", "OUTER", "PDF_PARTIAL")}
+    rho = degraded_rho(g)
+    fr_deg = None if rho is None else frontier(g, budget, "DEGRADED", weight_count, _CFG,
+                                               rho=rho)
+    return [
+        verify_pdf_df_equivalence(g, fr["PDF_JOINT"], fr["DF"]),
+        verify_joint_dominates_separate(g, budget, SAMPLES, seed),
+        verify_achievable_in_outer(g, budget, fr["DF"], fr["OUTER"]),
+        verify_degraded_capacity(g, budget, fr["DF"], fr_deg, seed),
+        verify_full_vs_partial_user_decoding(g, budget, fr["PDF_JOINT"], fr["PDF_PARTIAL"], seed),
+    ]
 
 
 def replay_witness(verdict: Verdict, g: ChannelGains, budget: PowerBudget) -> float:

@@ -222,7 +222,9 @@ def test_criterion_6_degraded_capacity():
                            abs(ro.min_r1 - rd.min_r1), abs(ro.min_r2 - rd.min_r2),
                            abs(ro.sum_bounds[0] - rd.sum_bounds[0]),
                            abs(ro.sum_bounds[1] - rd.sum_bounds[3]))
-        verdict = verify_degraded_capacity(g, BUDGET, CFG, 9, samples=100)
+        fr_df = frontier(g, BUDGET, "DF", 9, CFG)
+        fr_deg = frontier(g, BUDGET, "DEGRADED", 9, CFG, rho=rho)
+        verdict = verify_degraded_capacity(g, BUDGET, fr_df, fr_deg, CFG.seed)
         ok = max_diff <= 1e-12 and verdict.passed and verdict.applicable
         hull_slack = verdict.details["hull_slack"]
     _report(6, f"matched noise correlation collapses the outer bound onto DF "

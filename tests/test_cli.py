@@ -266,7 +266,9 @@ class TestMain:
         assert main(["muser", "--scenario", str(scenario), "--out", str(tmp_path)]) == 2
         assert f"error: scenario.m_user.{key}:" in capsys.readouterr().err
 
-    def test_verify_uses_weights_for_every_claim(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _traced_by_verify(tmp_path, monkeypatch, doc):
+        """(scheme, weight_count) of every frontier `hdmac verify --weights 3` traces."""
         import hdmac.verify
 
         seen = []
@@ -278,10 +280,26 @@ class TestMain:
 
         monkeypatch.setattr(hdmac.verify, "frontier", spy)
         scenario = tmp_path / "scenario.yaml"
-        scenario.write_text(PENTAGON_DOC, encoding="utf-8")
+        scenario.write_text(doc, encoding="utf-8")
         main(["verify", "--scenario", str(scenario), "--out", str(tmp_path), "--weights", "3"])
+        return seen
+
+    def test_verify_uses_weights_for_every_claim(self, tmp_path, monkeypatch):
+        seen = self._traced_by_verify(tmp_path, monkeypatch, PENTAGON_DOC)
         assert ("PDF_PARTIAL", 3) in seen
         assert all(count == 3 for _, count in seen), seen
+        # each scheme's frontier is traced once and shared by the claims
+        assert sorted(scheme for scheme, _ in seen) == sorted(
+            ["PDF_JOINT", "DF", "OUTER", "PDF_PARTIAL", "DEGRADED"]), seen
+
+    def test_verify_skips_degraded_where_it_does_not_apply(self, tmp_path, monkeypatch):
+        # k12 <= k10: the degraded claim is n/a and DEGRADED is never traced
+        doc = PENTAGON_DOC.replace("k12: 2.0", "k12: 1.0")
+        seen = self._traced_by_verify(tmp_path, monkeypatch, doc)
+        assert sorted(scheme for scheme, _ in seen) == sorted(
+            ["PDF_JOINT", "DF", "OUTER", "PDF_PARTIAL"]), seen
+        rows = read_csv(tmp_path / "verdicts.csv")
+        assert [r[1] for r in rows if r[0] == "degraded_capacity"] == ["n/a"]
 
     @pytest.mark.parametrize("old, new, message", [
         ("pmf_x21: {dims: [x21], table: [0.5, 0.5]}",

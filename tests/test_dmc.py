@@ -88,6 +88,20 @@ class TestMutualInformation:
         with pytest.raises(ValidationError):
             mutual_information(np.full((2, 2), 0.25), 0, 0)
 
+    @pytest.mark.parametrize("a_axes, group", [((0.7,), "a_axes"), (0.7, "a_axes"),
+                                                ((True,), "a_axes"), (True, "a_axes"),
+                                                ("0", "a_axes"), (None, "a_axes")],
+                             ids=["float_in_tuple", "bare_float", "bool_in_tuple", "bare_bool",
+                                  "string", "none"])
+    def test_non_integer_axis_rejected(self, a_axes, group):
+        with pytest.raises(ValidationError, match=group):
+            mutual_information(np.array([[0.5, 0.0], [0.0, 0.5]]), a_axes, (1,))
+
+    def test_numpy_integer_axes_accepted(self):
+        joint = np.array([[0.5, 0.0], [0.0, 0.5]])
+        assert mutual_information(joint, np.int64(0), (np.int32(1),)) == mutual_information(
+            joint, 0, 1)
+
     def test_matches_naive_oracle_on_random_joints(self):
         rng = np.random.default_rng(42)
         for _ in range(25):

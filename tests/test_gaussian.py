@@ -562,9 +562,9 @@ def _kernel_cases(draw):
 # Unchecked primitives on Python floats and on numpy arrays: the kernels
 # must run on any number type that supports their arithmetic.
 FLOAT_OPS = (lambda alpha, num, noise: C(num / noise) * alpha if alpha > 0.0 else 0.0,
-             lambda x, y: math.sqrt(x * y), min)
+             lambda x, y: math.sqrt(x * y))
 ARRAY_OPS = (lambda alpha, num, noise: 0.5 * alpha * np.log1p(num / noise) / math.log(2.0),
-             lambda x, y: np.sqrt(x * y), np.minimum)
+             lambda x, y: np.sqrt(x * y))
 
 
 def _kernel_run(scheme, g, slots, alloc, rho, ops, wrap):

@@ -486,7 +486,7 @@ def _assert_gradients(kernel, family, z, h=1e-6):
         a = (z[0], z[1], 1.0 - z[0] - z[1])
         powers = [e / a[s] for e, s in zip(z[2:2 + n], family.slot_of)]
         coherent = iter(w / a[2] for w in z[2 + n:])
-        m1, m2, sums = kernel(*a, powers, (CHECKED_OPS[0], lambda x, y: next(coherent), min))
+        m1, m2, sums = kernel(*a, powers, (CHECKED_OPS[0], lambda x, y: next(coherent)))
         return np.array((m1, m2, *sums))
 
     m1, m2, sums = _dual_caps(kernel, family, z)
@@ -522,7 +522,7 @@ class TestFrontier:
             fr_out = frontier(g, budget, "OUTER", count, FAST)
             for a, b in zip(fr_df.points, fr_out.points):
                 assert b.value >= a.value - 1e-9
-            assert verify_achievable_in_outer(g, budget, FAST, count).passed
+            assert verify_achievable_in_outer(g, budget, fr_df, fr_out).passed
 
     def test_dead_channel_hull_is_origin(self):
         g = ChannelGains(0.0, 0.0, 0.0, 0.0, 1.0)
