@@ -88,10 +88,7 @@ def _cmd_region(sc: Scenario, out: Path, weights: int) -> int:
     pairs = _fixed_schemes(sc)
     _require(bool(pairs), "region command needs a 'pdf_allocation' or 'df_allocation' section")
     for name, alloc in pairs:
-        scheme = name.upper()
-        literal = sc.budget.p1 if (name == "pdf_separate" and sc.separate_literal_p1) else None
-        region = scheme_region(scheme, sc.gains, sc.slots, alloc, rho=sc.rho,
-                               literal_p1=literal)
+        region = scheme_region(name.upper(), sc.gains, sc.slots, alloc, rho=sc.rho)
         rows = []
         for fam, vals in (("r1", region.r1_bounds), ("r2", region.r2_bounds),
                           ("sum", region.sum_bounds)):

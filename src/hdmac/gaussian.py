@@ -12,12 +12,12 @@ passed in as ``ops = (term, gmean)``, where ``term(alpha, num, noise)`` is
 alpha * C(num / noise) and ``gmean(x, y)`` is sqrt(x * y), so the same
 source runs on Python floats, numpy arrays and dual numbers:
 
-- ``CHECKED_OPS`` validate their arguments; the ``*_region`` functions use
-  them and return a LinearRegion (one R1 cap, one R2 cap, the sum caps in the
-  scheme's order);
+- ``CHECKED_OPS`` validate their arguments; ``scheme_caps_region`` runs the
+  named scheme's kernel on them and returns a LinearRegion (one R1 cap, one
+  R2 cap, the sum caps in the scheme's order), as do the ``*_region``
+  functions, one scheme each;
 - ``dual_term`` carries gradients for the optimizer's concave solves, which
-  pass their own coherent-energy variables in place of ``gmean`` and never
-  PDF_SEPARATE's ``literal_p1``, whose builtin ``min`` needs floats.
+  pass their own coherent-energy variables in place of ``gmean``.
 
 A slot of zero length contributes exactly zero regardless of the allocation,
 so boundary slot splits are safe.
@@ -105,6 +105,10 @@ def dual_term(alpha, num, noise: float):
 
 CHECKED_OPS = (_term, _gmean)
 
+# the schemes each kernel evaluates: pdf_caps and df_caps
+PDF_SCHEMES = ("PDF_JOINT", "PDF_SEPARATE", "PDF_PARTIAL")
+DF_SCHEMES = ("DF", "OUTER", "DEGRADED")
+
 
 # ---------------------------------------------------------------------------
 # superposition / partial-decode-forward scheme
@@ -115,17 +119,23 @@ def pdf_gains(g: ChannelGains):
     return g.k12 ** 2, g.k21 ** 2, g.k10, g.k20, g.noise
 
 
-def pdf_caps(scheme: str, gains, a1, a2, a3, powers, ops, literal_p1=None, minus=None):
+def partial_minus(gains, a1, a2, a3, powers, ops):
+    """The terms PDF_PARTIAL subtracts, term(a1, K12^2 p10) and term(a2, K21^2 p20),
+    taking pdf_caps' arguments."""
+    k12s, k21s, _, _, n = gains
+    return ops[0](a1, k12s * powers[1], n), ops[0](a2, k21s * powers[3], n)
+
+
+def pdf_caps(scheme: str, gains, a1, a2, a3, powers, ops, minus=None):
     """Caps (r1, r2, (s1, s2, s3, s4)) of a superposition scheme.
 
     ``gains`` come from pdf_gains.  ``powers`` are
     (pu, p10, pv, p20, p13, p23, ac2, ac3, ad2, ad3), where the four atoms
     are the slot-3 powers re-spent on the public symbols: user 1 on its own
     (ac2) and on the partner's (ac3), user 2 on its own (ad2) and on the
-    partner's (ad3).  PDF_SEPARATE takes ``literal_p1`` as described in
-    pdf_separate_region.  PDF_PARTIAL subtracts term(a1, K12^2 p10) and
-    term(a2, K21^2 p20); ``minus`` replaces that pair, which is how the
-    optimizer's convex-concave procedure passes their linearizations.
+    partner's (ad3).  PDF_PARTIAL subtracts the pair of partial_minus;
+    ``minus`` replaces that pair, which is how the optimizer's
+    convex-concave procedure passes their linearizations.
     """
     term, gmean = ops
     k12s, k21s, k10, k20, n = gains
@@ -141,7 +151,7 @@ def pdf_caps(scheme: str, gains, a1, a2, a3, powers, ops, literal_p1=None, minus
         # interference, C(K12^2 pu / (K12^2 p10 + N)) = C(K12^2 su1 / N) -
         # C(K12^2 p10 / N); the destination decodes the private part
         if minus is None:
-            minus = term(a1, k12s * p10, n), term(a2, k21s * p20, n)
+            minus = partial_minus(gains, a1, a2, a3, powers, ops)
         t12 = t12 - minus[0] + term(a1, k10s * p10, n)
         t21 = t21 - minus[1] + term(a2, k20s * p20, n)
     if scheme == "PDF_SEPARATE":
@@ -152,9 +162,6 @@ def pdf_caps(scheme: str, gains, a1, a2, a3, powers, ops, literal_p1=None, minus
     else:
         u1 = term(a1, k10s * su1, n)
         u2 = term(a2, k20s * su2, n)
-    u1_last = u1
-    if literal_p1 is not None:
-        u1_last = min(term(a1, k12s * literal_p1, n), term(a1, k10s * p10, n))
     priv = k10s * p13 + k20s * p23
     coh_u = k10s * ac2 + k20s * ad3 + 2.0 * k10 * k20 * gmean(ac2, ad3)
     coh_v = k10s * ac3 + k20s * ad2 + 2.0 * k10 * k20 * gmean(ac3, ad2)
@@ -163,7 +170,7 @@ def pdf_caps(scheme: str, gains, a1, a2, a3, powers, ops, literal_p1=None, minus
     s1 = t12 + t21 + term(a3, priv, n)
     s2 = u1 + t21 + term(a3, priv + coh_u, n)
     s3 = t12 + u2 + term(a3, priv + coh_v, n)
-    s4 = u1_last + u2 + term(a3, priv + coh_u + coh_v, n)
+    s4 = u1 + u2 + term(a3, priv + coh_u + coh_v, n)
     return r1, r2, (s1, s2, s3, s4)
 
 
@@ -173,28 +180,18 @@ def pdf_powers(a: PdfAllocation):
             a.c2 * a.pu, a.c3 * a.pv, a.d2 * a.pv, a.d3 * a.pu)
 
 
-def _pdf_region(scheme: str, g: ChannelGains, slots: TimeSlots, a: PdfAllocation,
-                literal_p1: float | None = None) -> LinearRegion:
-    r1, r2, sums = pdf_caps(scheme, pdf_gains(g), slots.a1, slots.a2, slots.a3, pdf_powers(a),
-                            CHECKED_OPS, literal_p1)
-    return LinearRegion((r1,), (r2,), sums)
-
-
 def pdf_joint_region(g: ChannelGains, slots: TimeSlots, a: PdfAllocation) -> LinearRegion:
     """Superposition scheme, full decoding at each user, joint decoding at the destination."""
-    return _pdf_region("PDF_JOINT", g, slots, a)
+    return scheme_caps_region("PDF_JOINT", g, slots, a)
 
 
-def pdf_separate_region(g: ChannelGains, slots: TimeSlots, a: PdfAllocation,
-                        literal_p1: float | None = None) -> LinearRegion:
+def pdf_separate_region(g: ChannelGains, slots: TimeSlots, a: PdfAllocation) -> LinearRegion:
     """Superposition scheme with slot-by-slot decoding at the destination.
 
-    The last sum cap's first min-argument defaults to the slot-1 private
-    power p10 (consistent with the adjacent conditioned terms); pass
-    ``literal_p1`` to evaluate the total-power variant of that argument
-    instead, for comparison.
+    The conditioned slot-1/2 terms of the sum caps, the last one's included,
+    keep only the private power p10 (p20) over the weaker of its two links.
     """
-    return _pdf_region("PDF_SEPARATE", g, slots, a, literal_p1)
+    return scheme_caps_region("PDF_SEPARATE", g, slots, a)
 
 
 def pdf_partial_user_region(g: ChannelGains, slots: TimeSlots, a: PdfAllocation) -> LinearRegion:
@@ -206,7 +203,7 @@ def pdf_partial_user_region(g: ChannelGains, slots: TimeSlots, a: PdfAllocation)
     and symmetrically for user 2.  The first term is evaluated as
     C(K12^2 (PU+P10)/N) - C(K12^2 P10/N), its equal in exact arithmetic.
     """
-    return _pdf_region("PDF_PARTIAL", g, slots, a)
+    return scheme_caps_region("PDF_PARTIAL", g, slots, a)
 
 
 # ---------------------------------------------------------------------------
@@ -292,31 +289,43 @@ def df_caps(scheme: str, gains, a1, a2, a3, powers, ops):
     return subset[0], subset[1], (subset[2], total[2], total[1], total[0])
 
 
-def _df_region(scheme: str, g: ChannelGains, slots: TimeSlots, a: DfAllocation,
-               rho: NoiseCorrelation | None = None) -> LinearRegion:
-    powers = (a.p12, a.p21, a.p13, a.p23, a.ps1, a.ps2)
-    r1, r2, sums = df_caps(scheme, df_gains(scheme, g, rho), slots.a1, slots.a2, slots.a3,
-                           powers, CHECKED_OPS)
+def df_powers(a: DfAllocation):
+    """df_caps powers (p12, p21, p13, p23, ps1, ps2) of an allocation."""
+    return a.p12, a.p21, a.p13, a.p23, a.ps1, a.ps2
+
+
+def scheme_caps_region(scheme: str, g: ChannelGains, slots: TimeSlots,
+                       a: PdfAllocation | DfAllocation,
+                       rho: NoiseCorrelation | None = None) -> LinearRegion:
+    """Region of the named scheme at a fixed slot split and allocation: its
+    family's kernel on CHECKED_OPS.  ``rho`` is read by DEGRADED only."""
+    if scheme in PDF_SCHEMES:
+        kernel, gains, powers = pdf_caps, pdf_gains(g), pdf_powers(a)
+    elif scheme in DF_SCHEMES:
+        kernel, gains, powers = df_caps, df_gains(scheme, g, rho), df_powers(a)
+    else:
+        raise ValidationError(f"unknown scheme {scheme!r}")
+    r1, r2, sums = kernel(scheme, gains, slots.a1, slots.a2, slots.a3, powers, CHECKED_OPS)
     return LinearRegion((r1,), (r2,), sums)
 
 
 def df_region(g: ChannelGains, slots: TimeSlots, a: DfAllocation) -> LinearRegion:
     """Decode-forward scheme with joint decoding at the destination."""
-    return _df_region("DF", g, slots, a)
+    return scheme_caps_region("DF", g, slots, a)
 
 
 def gaussian_outer_region(g: ChannelGains, slots: TimeSlots, a: DfAllocation) -> LinearRegion:
     """Cut-set style outer bound: the DF region with K12^2 -> K12^2 + K10^2 and
     K21^2 -> K21^2 + K20^2; the two middle sum caps become redundant and are
     dropped from the returned set."""
-    return _df_region("OUTER", g, slots, a)
+    return scheme_caps_region("OUTER", g, slots, a)
 
 
 def degraded_outer_region(g: ChannelGains, slots: TimeSlots, a: DfAllocation,
                           rho: NoiseCorrelation) -> LinearRegion:
     """Outer bound when each inter-user noise is correlated with the
     destination noise.  Requires |rho| < 1 for both factors."""
-    return _df_region("DEGRADED", g, slots, a, rho)
+    return scheme_caps_region("DEGRADED", g, slots, a, rho)
 
 
 # ---------------------------------------------------------------------------

@@ -100,9 +100,7 @@ def _validate_instance(g: MUserGains, a: MUserAllocation,
     _check(len(b) == g.m, "budgets must have length m")
     for v in b:
         _check(v > 0.0, "budgets must be > 0")
-    a_last = a.slots[g.m]
-    for k in range(g.m):
-        used = a.slots[k] * a.p_solo[k] + a_last * (a.p_priv[k] + a.p_coop[k])
+    for k, used in enumerate(power_used(g, a)):
         _check(abs(used - b[k]) <= POWER_TOL,
                f"user {k + 1} power identity violated: uses {used!r}, budget {b[k]!r}")
     return b

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -62,7 +62,6 @@ import numpy as np
 from .core import (
     ChannelGains,
     DfAllocation,
-    LinearRegion,
     PdfAllocation,
     PowerBudget,
     RatePolygon,
@@ -75,24 +74,21 @@ from .core import (
     power_feasible,
 )
 from .gaussian import (
+    DF_SCHEMES,
+    PDF_SCHEMES,
     NoiseCorrelation,
     df_caps,
     df_gains,
-    df_region,
-    degraded_outer_region,
+    df_powers,
     dual_term,
-    gaussian_outer_region,
-    pdf_joint_region,
-    pdf_partial_user_region,
+    partial_minus,
     pdf_caps,
     pdf_gains,
     pdf_powers,
-    pdf_separate_region,
+    scheme_caps_region,
 )
 
-SCHEMES = ("PDF_JOINT", "PDF_SEPARATE", "PDF_PARTIAL", "DF", "OUTER", "DEGRADED")
-_PDF_SCHEMES = ("PDF_JOINT", "PDF_SEPARATE", "PDF_PARTIAL")
-_DF_SCHEMES = ("DF", "OUTER", "DEGRADED")
+SCHEMES = PDF_SCHEMES + DF_SCHEMES
 
 
 @dataclass(frozen=True)
@@ -141,6 +137,7 @@ class FrontierResult:
     scheme: str
     points: Tuple[OptResult, ...]
     hull: RatePolygon
+    rho: Optional[NoiseCorrelation] = None   # the correlations it was traced at
 
 
 # ---------------------------------------------------------------------------
@@ -215,32 +212,12 @@ def region_contains(outer: RatePolygon, inner: RatePolygon, tol: float):
     return worst >= -tol, worst
 
 
-def scheme_region(scheme: str, g: ChannelGains, slots: TimeSlots,
-                  alloc: Union[PdfAllocation, DfAllocation],
-                  rho: Optional[NoiseCorrelation] = None,
-                  literal_p1: Optional[float] = None) -> LinearRegion:
-    """Evaluate the named scheme's region at a fixed slot split and allocation."""
-    if scheme == "PDF_JOINT":
-        return pdf_joint_region(g, slots, alloc)
-    if scheme == "PDF_SEPARATE":
-        return pdf_separate_region(g, slots, alloc, literal_p1=literal_p1)
-    if scheme == "PDF_PARTIAL":
-        return pdf_partial_user_region(g, slots, alloc)
-    if scheme == "DF":
-        return df_region(g, slots, alloc)
-    if scheme == "OUTER":
-        return gaussian_outer_region(g, slots, alloc)
-    if scheme == "DEGRADED":
-        return degraded_outer_region(g, slots, alloc, rho)
-    raise ValidationError(f"unknown scheme {scheme!r}")
+# the named scheme's region at a fixed slot split and allocation
+scheme_region = scheme_caps_region
 
 
 # ---------------------------------------------------------------------------
 # random feasible allocations (unit cube -> slot fractions and powers)
-#
-# Written without branches: a comparison acts as a 0/1 mask, and the
-# denominator of an empty slot is replaced by 1 before the mask zeroes the
-# quotient.
 # ---------------------------------------------------------------------------
 
 def _shares(a1, a2, g1, g2, p_1: float, p_2: float):
@@ -248,13 +225,15 @@ def _shares(a1, a2, g1, g2, p_1: float, p_2: float):
     and g2.  An empty own slot gets no power; an empty slot 3 leaves the
     whole budget to the own slot."""
     a3 = 1.0 - a1 - a2
-    on1, on2, on3 = a1 > 0.0, a2 > 0.0, a3 > 0.0
-    off3 = a3 <= 0.0
-    g1 = g1 * on1 * on3 + off3
-    g2 = g2 * on2 * on3 + off3
-    d3 = a3 + off3
-    return (g1 * p_1 / (a1 + (a1 <= 0.0)) * on1, (1.0 - g1) * p_1 / d3 * on3,
-            g2 * p_2 / (a2 + (a2 <= 0.0)) * on2, (1.0 - g2) * p_2 / d3 * on3)
+    out = ()
+    for a, g, p in ((a1, g1, p_1), (a2, g2, p_2)):
+        if a3 <= 0.0:
+            out += (p / a if a > 0.0 else 0.0, 0.0)
+        elif a <= 0.0:
+            out += (0.0, p / a3)
+        else:
+            out += (g * p / a, (1.0 - g) * p / a3)
+    return out
 
 
 def _df_split(x, p_1: float, p_2: float):
@@ -289,11 +268,11 @@ def _pdf_split(x, p_1: float, p_2: float):
     ac3 = rest1 - ac2
     ad3 = rest2 - ad2
     # atoms riding on a public symbol that carries no power become private
-    u_on, v_on = pu > 0.0, pv > 0.0
-    u_off, v_off = pu <= 0.0, pv <= 0.0
-    return (pu, slot1 - pu, pv, slot2 - pv,
-            p13 + ac2 * u_off + ac3 * v_off, p23 + ad3 * u_off + ad2 * v_off,
-            ac2 * u_on, ac3 * v_on, ad2 * v_on, ad3 * u_on)
+    if pu <= 0.0:
+        p13, p23, ac2, ad3 = p13 + ac2, p23 + ad3, 0.0, 0.0
+    if pv <= 0.0:
+        p13, p23, ac3, ad2 = p13 + ac3, p23 + ad2, 0.0, 0.0
+    return pu, slot1 - pu, pv, slot2 - pv, p13, p23, ac2, ac3, ad2, ad3
 
 
 def _pdf_allocation(powers) -> PdfAllocation:
@@ -323,7 +302,7 @@ def sample_allocation(scheme: str, g: ChannelGains, budget: PowerBudget, rng,
     fractions and public/private splits are kept away from the boundary so
     every power component is strictly positive."""
     _check(scheme in SCHEMES, f"unknown scheme {scheme!r}")
-    pdf = scheme in _PDF_SCHEMES
+    pdf = scheme in PDF_SCHEMES
     u, v = sorted((rng.random(), rng.random()))
     a1, a2 = u, v - u
     params = [rng.random() for _ in range(8 if pdf else 4)]
@@ -398,7 +377,7 @@ class _Family:
 
 # energies (E12, E21, E13, E23, ES1, ES2)
 _DF = _Family(name="DF", kernel=df_caps, slot_of=(0, 1, 2, 2, 2, 2), owner=(0, 1, 0, 1, 0, 1),
-              private=(2, 3), own=(0, 1), pairs=((4, 5, None),), powers=astuple,
+              private=(2, 3), own=(0, 1), pairs=((4, 5, None),), powers=df_powers,
               allocation=lambda p: DfAllocation(*p))
 # energies (EU, E10, EV, E20, E13, E23, Eac2, Eac3, Ead2, Ead3); U carries
 # ac2 and ad3, V carries ac3 and ad2
@@ -508,7 +487,7 @@ class _Solver:
                  rho: Optional[NoiseCorrelation], mu1: float, mu2: float):
         self.scheme, self.g, self.budget, self.rho = scheme, g, budget, rho
         self.mu = np.array([mu1, mu2])
-        if scheme in _PDF_SCHEMES:
+        if scheme in PDF_SCHEMES:
             self.family, self.gains = _PDF, pdf_gains(g)
         else:
             self.family, self.gains = _DF, df_gains(scheme, g, rho)
@@ -544,10 +523,7 @@ class _Solver:
         scheme, gains, family = self.scheme, self.gains, self.family
         if scheme != "PDF_PARTIAL":
             return lambda z: _dual_caps(lambda *a: family.kernel(scheme, gains, *a), family, z)
-        k12s, k21s, _, _, n = gains
-        tangents = _dual_caps(lambda a1, a2, a3, p, ops: (ops[0](a1, k12s * p[1], n),
-                                                          ops[0](a2, k21s * p[3], n)),
-                              family, at)
+        tangents = _dual_caps(lambda *a: partial_minus(gains, *a), family, at)
         self.evaluations += 1
         x0 = np.asarray(at[:-2])
 
@@ -691,7 +667,7 @@ def _solve(scheme: str, g: ChannelGains, budget: PowerBudget,
     """Best candidate and kernel evaluations for mu1 >= mu2; a solve that
     only provides a start skips the turn toward R2."""
     solver = _Solver(scheme, g, budget, rho, mu1, mu2)
-    if scheme in _DF_SCHEMES:
+    if scheme in DF_SCHEMES:
         points, kind = [_energies(_DF, *_interior(budget))], _COLD
     else:
         prev = "DF" if scheme == "PDF_JOINT" else "PDF_JOINT"
@@ -749,4 +725,4 @@ def frontier(g: ChannelGains, budget: PowerBudget, scheme: str, weight_count: in
         mu = (math.cos(theta), math.sin(theta))
         results.append(optimize_scheme(g, budget, scheme, mu, cfg, rho=rho))
     hull = upper_hull([r.vertex for r in results])
-    return FrontierResult(scheme=scheme, points=tuple(results), hull=hull)
+    return FrontierResult(scheme=scheme, points=tuple(results), hull=hull, rho=rho)

@@ -61,7 +61,6 @@ class Scenario:
     pdf_allocation: Optional[PdfAllocation] = None
     df_allocation: Optional[DfAllocation] = None
     rho: Optional[NoiseCorrelation] = None
-    separate_literal_p1: bool = False
     sweep: Optional[Tuple[float, ...]] = None
     dmc: Optional[DmcSection] = None
     m_user: Optional[MUserSection] = None
@@ -218,7 +217,7 @@ def _parse_m_user(node, where: str) -> MUserSection:
 
 
 _TOP_KEYS = ("name", "gains", "budget", "slots", "pdf_allocation", "df_allocation",
-             "rho", "separate_literal_p1", "search", "sweep", "dmc", "m_user")
+             "rho", "search", "sweep", "dmc", "m_user")
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -242,10 +241,6 @@ def parse_scenario(text: str) -> Scenario:
         if not sweep or min(sweep) < 0:
             raise ScenarioError("scenario.sweep: expected a non-empty list of gains >= 0")
 
-    flag = doc.get("separate_literal_p1", False)
-    if not isinstance(flag, bool):
-        raise ScenarioError("scenario.separate_literal_p1: expected a boolean")
-
     return Scenario(
         name=name,
         gains=_parse_record(doc["gains"], "scenario.gains", ChannelGains),
@@ -261,7 +256,6 @@ def parse_scenario(text: str) -> Scenario:
                        if "df_allocation" in doc else None),
         rho=(_parse_record(doc["rho"], "scenario.rho", NoiseCorrelation)
              if "rho" in doc else None),
-        separate_literal_p1=flag,
         sweep=sweep,
         dmc=_parse_dmc(doc["dmc"], "scenario.dmc") if "dmc" in doc else None,
         m_user=_parse_m_user(doc["m_user"], "scenario.m_user") if "m_user" in doc else None,
@@ -285,8 +279,6 @@ def serialize_scenario(sc: Scenario) -> str:
         doc["df_allocation"] = asdict(sc.df_allocation)
     if sc.rho is not None:
         doc["rho"] = asdict(sc.rho)
-    if sc.separate_literal_p1:
-        doc["separate_literal_p1"] = True
     if sc.sweep is not None:
         doc["sweep"] = list(sc.sweep)
     if sc.dmc is not None:

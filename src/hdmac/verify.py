@@ -317,15 +317,17 @@ def verify_degraded_capacity(g: ChannelGains, budget: PowerBudget, fr_df: Fronti
     """With the noise correlations of ``degraded_rho`` the correlated-noise
     outer bound collapses onto the decode-forward region, bound by bound on
     seeded random allocations and as the hulls of the DF and DEGRADED
-    frontiers (the latter traced at ``degraded_rho(g)``).  Where
-    ``degraded_rho`` is None the claim does not apply and neither frontier
-    is read."""
+    frontiers.  A DEGRADED frontier traced at other correlations is a
+    ValidationError.  Where ``degraded_rho`` is None the claim does not apply
+    and neither frontier is read."""
     rho = degraded_rho(g)
     if rho is None:
         return Verdict(claim="degraded_capacity", passed=True, worst_slack=math.inf,
                        tolerance=EXACT_TOL, witness=None, applicable=False,
                        details={"reason": "requires k12 > k10 and k21 > k20"})
     _check_frontiers("degraded_capacity", fr_df=fr_df, fr_deg=fr_deg)
+    _check(fr_deg.rho == rho, f"degraded_capacity: fr_deg was traced at {fr_deg.rho!r}, "
+                              f"not at degraded_rho(g) = {rho!r}")
     rng = random.Random(seed)
     max_diff = 0.0
     witness = None

@@ -249,6 +249,15 @@ class TestMain:
         assert main(["region", "--scenario", str(scenario)]) == 2
         assert "bogus_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_separate_literal_p1_rejected_exit_two(self, tmp_path, capsys, value):
+        # a file that asks for the total-power variant of PDF_SEPARATE, which
+        # is not evaluated, must not silently get the default region
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(PENTAGON_DOC + f"separate_literal_p1: {value}\n", encoding="utf-8")
+        assert main(["region", "--scenario", str(scenario), "--out", str(tmp_path)]) == 2
+        assert "unknown keys ['separate_literal_p1']" in capsys.readouterr().err
+
     def test_number_too_large_for_a_float_exit_two(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(PENTAGON_DOC.replace("k12: 2.0", "k12: 1" + "0" * 400),

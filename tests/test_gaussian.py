@@ -130,15 +130,6 @@ class TestPdfSeparateRegion:
             for bs, bj in zip(all_bounds(rs), all_bounds(rj)):
                 assert bs <= bj + 1e-12
 
-    def test_literal_total_power_variant(self):
-        alloc = PdfAllocation(p10=0.5, p20=0.5, pu=2.0, pv=2.0, p13=0.5,
-                              p23=0.5, c2=0.5, c3=0.0, d2=0.5, d3=0.0)
-        base = pdf_separate_region(SYM, SLOTS, alloc)
-        lit = pdf_separate_region(SYM, SLOTS, alloc, literal_p1=BUDGET.p1)
-        # only the last sum cap can change, and only via its first min term
-        assert lit.sum_bounds[:3] == base.sum_bounds[:3]
-        assert lit.sum_bounds[3] >= base.sum_bounds[3] - 1e-15
-
 
 class TestPdfPartialUserRegion:
     def test_no_private_power_collapses_to_joint(self):
@@ -485,10 +476,6 @@ GOLDEN = {
         lambda: pdf_separate_region(G_WEAK, SLOTS_ASYM, PDF_A),
         ((0.27030850934908107,), (0.419552566308334,),
          (0.6293997714363493, 0.9221607991520051, 0.8024920920474079, 0.9600016900980688))),
-    "pdf_separate_literal_p1": (
-        lambda: pdf_separate_region(G_WEAK, SLOTS_ASYM, PDF_A, literal_p1=1.5),
-        ((0.27030850934908107,), (0.419552566308334,),
-         (0.6293997714363493, 0.9221607991520051, 0.8024920920474079, 0.9914745989554544))),
     "pdf_partial": (
         lambda: pdf_partial_user_region(G_ASYM, SLOTS_ASYM, PDF_A),
         ((0.4264221812747029,), (0.3813367324667706,),

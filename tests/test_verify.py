@@ -221,3 +221,13 @@ class TestFrontierArguments:
     def test_different_directions_rejected(self, claim, args):
         with pytest.raises(ValidationError, match="different weight directions"):
             claim(*args())
+
+    @pytest.mark.parametrize("rho", [NoiseCorrelation(0.0, 0.0), NoiseCorrelation(0.9, 0.9)],
+                             ids=["uncorrelated", "strong"])
+    def test_degraded_traced_at_other_rho_rejected(self, rho):
+        # such a frontier lies outside DF; the claim names the mismatch
+        # instead of reporting a verdict whose worst slack reads -0
+        fr_df = frontier(SYM, BUDGET, "DF", 3, SearchConfig())
+        fr_deg = frontier(SYM, BUDGET, "DEGRADED", 3, SearchConfig(), rho=rho)
+        with pytest.raises(ValidationError, match="degraded_capacity: fr_deg was traced at"):
+            verify_degraded_capacity(SYM, BUDGET, fr_df, fr_deg, seed=0)
