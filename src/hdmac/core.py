@@ -281,7 +281,12 @@ def convex_hull_ccw(points) -> Tuple[Tuple[float, float], ...]:
         return tuple(pts)
 
     def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+        p, q = (a[0] - o[0]) * (b[1] - o[1]), (a[1] - o[1]) * (b[0] - o[0])
+        if abs(p - q) > 1e-15 * (abs(p) + abs(q)) and abs(p) + abs(q) >= 1e-290:
+            return p - q
+        from fractions import Fraction   # rounding or underflow may have set the sign
+        (ox, oy), (ax, ay), (bx, by) = ((Fraction(x), Fraction(y)) for x, y in (o, a, b))
+        return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
     lower = []
     for p in pts:

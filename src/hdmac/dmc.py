@@ -5,8 +5,8 @@ conditional pmf table; region bounds are computed by direct summation of
 the induced joints, so these serve as the oracle layer for the Gaussian
 closed forms.  That is why this module shares no code with ``gaussian``:
 an oracle that reused the closed forms' composition would repeat their
-mistakes, and the Gaussian kernels are written for the optimizer's
-dual-number hot path, not for pmf tables.  Alphabets are capped at
+mistakes, and the Gaussian kernels are written for closed-form terms and
+the optimizer's recorded tables, not for pmf tables.  Alphabets are capped at
 MAX_ALPHABET symbols per variable to keep every joint exhaustively
 enumerable.
 

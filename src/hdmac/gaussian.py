@@ -10,14 +10,15 @@ dropped.  A kernel maps slot fractions and per-slot powers to caps.  It
 uses only addition, subtraction, scaling by constants and two primitives
 passed in as ``ops = (term, gmean)``, where ``term(alpha, num, noise)`` is
 alpha * C(num / noise) and ``gmean(x, y)`` is sqrt(x * y), so the same
-source runs on Python floats, numpy arrays and dual numbers:
+source runs on Python floats, numpy arrays and linear forms:
 
 - ``CHECKED_OPS`` validate their arguments; ``scheme_caps_region`` runs the
   named scheme's kernel on them and returns a LinearRegion (one R1 cap, one
   R2 cap, the sum caps in the scheme's order), as do the ``*_region``
   functions, one scheme each;
-- ``dual_term`` carries gradients for the optimizer's concave solves, which
-  pass their own coherent-energy variables in place of ``gmean``.
+- the optimizer records a kernel once on linear-form ops as a table of
+  signed sums of terms a_s * C(K E / (a_s N)); only PDF_PARTIAL's caps
+  subtract terms.
 
 A slot of zero length contributes exactly zero regardless of the allocation,
 so boundary slot splits are safe.
@@ -44,10 +45,10 @@ from .core import (
     ValidationError,
     _finite,
     c_gauss,
+    convex_hull_ccw,
     polygon_from_constraints,
 )
 
-_LN2 = math.log(2.0)
 _SQRT_CLAMP = -1e-12  # round-off guard for sqrt arguments near zero
 
 
@@ -87,22 +88,6 @@ def _term(alpha: float, power_term: float, noise: float) -> float:
     return alpha * c_gauss(power_term / noise)
 
 
-def dual_term(alpha, num, noise: float):
-    """term on dual numbers: numpy vectors [value, d/dz_1, ..., d/dz_n].
-
-    The kernels only add and subtract duals and scale them by floats, which
-    numpy does componentwise, so only the primitives need the chain rule.
-    alpha[0] must be > 0: a caller that differentiates floors its slots.
-    """
-    # Python floats: the IEEE arithmetic of numpy scalars, at less cost
-    a0 = alpha.item(0)
-    x = num.item(0) / noise
-    c = 0.5 * math.log1p(x) / _LN2
-    out = alpha * c + num * (0.5 * a0 / ((1.0 + x) * noise * _LN2))
-    out[0] = a0 * c
-    return out
-
-
 CHECKED_OPS = (_term, _gmean)
 
 # the schemes each kernel evaluates: pdf_caps and df_caps
@@ -119,23 +104,14 @@ def pdf_gains(g: ChannelGains):
     return g.k12 ** 2, g.k21 ** 2, g.k10, g.k20, g.noise
 
 
-def partial_minus(gains, a1, a2, a3, powers, ops):
-    """The terms PDF_PARTIAL subtracts, term(a1, K12^2 p10) and term(a2, K21^2 p20),
-    taking pdf_caps' arguments."""
-    k12s, k21s, _, _, n = gains
-    return ops[0](a1, k12s * powers[1], n), ops[0](a2, k21s * powers[3], n)
-
-
-def pdf_caps(scheme: str, gains, a1, a2, a3, powers, ops, minus=None):
+def pdf_caps(scheme: str, gains, a1, a2, a3, powers, ops):
     """Caps (r1, r2, (s1, s2, s3, s4)) of a superposition scheme.
 
     ``gains`` come from pdf_gains.  ``powers`` are
     (pu, p10, pv, p20, p13, p23, ac2, ac3, ad2, ad3), where the four atoms
     are the slot-3 powers re-spent on the public symbols: user 1 on its own
     (ac2) and on the partner's (ac3), user 2 on its own (ad2) and on the
-    partner's (ad3).  PDF_PARTIAL subtracts the pair of partial_minus;
-    ``minus`` replaces that pair, which is how the optimizer's
-    convex-concave procedure passes their linearizations.
+    partner's (ad3).
     """
     term, gmean = ops
     k12s, k21s, k10, k20, n = gains
@@ -147,16 +123,11 @@ def pdf_caps(scheme: str, gains, a1, a2, a3, powers, ops, minus=None):
     t12 = term(a1, k12s * su1, n)
     t21 = term(a2, k21s * su2, n)
     if scheme == "PDF_PARTIAL":
-        # the partner decodes only the public part, against the private
-        # interference, C(K12^2 pu / (K12^2 p10 + N)) = C(K12^2 su1 / N) -
-        # C(K12^2 p10 / N); the destination decodes the private part
-        if minus is None:
-            minus = partial_minus(gains, a1, a2, a3, powers, ops)
-        t12 = t12 - minus[0] + term(a1, k10s * p10, n)
-        t21 = t21 - minus[1] + term(a2, k20s * p20, n)
+        # the partner decodes only the public part (pdf_partial_user_region)
+        t12 = t12 - term(a1, k12s * p10, n) + term(a1, k10s * p10, n)
+        t21 = t21 - term(a2, k21s * p20, n) + term(a2, k20s * p20, n)
     if scheme == "PDF_SEPARATE":
-        # slot-by-slot decoding: the conditioned slot-1/2 terms keep only
-        # the private power, decoded over the weaker of the two links
+        # slot-by-slot decoding (pdf_separate_region)
         u1 = term(a1, min(k12s, k10s) * p10, n)
         u2 = term(a2, min(k21s, k20s) * p20, n)
     else:
@@ -340,29 +311,13 @@ def baseline_region(kind: str, g: ChannelGains, budget: PowerBudget) -> RatePoly
     polygon is the hull of that corner with the full-time single-user rates.
     """
     n = g.noise
+    e1, e2 = g.k10 ** 2 * budget.p1, g.k20 ** 2 * budget.p2
+    r1, r2 = c_gauss(e1 / n), c_gauss(e2 / n)
     if kind == "MAC":
-        region = LinearRegion(
-            (c_gauss(g.k10 ** 2 * budget.p1 / n),),
-            (c_gauss(g.k20 ** 2 * budget.p2 / n),),
-            (c_gauss((g.k10 ** 2 * budget.p1 + g.k20 ** 2 * budget.p2) / n),),
-        )
-        return polygon_from_constraints(region)
+        return polygon_from_constraints(LinearRegion((r1,), (r2,), (c_gauss((e1 + e2) / n),)))
     if kind == "TDMA":
-        r1_full = c_gauss(g.k10 ** 2 * budget.p1 / n)
-        r2_full = c_gauss(g.k20 ** 2 * budget.p2 / n)
-        cx = 0.5 * c_gauss(2.0 * g.k10 ** 2 * budget.p1 / n)
-        cy = 0.5 * c_gauss(2.0 * g.k20 ** 2 * budget.p2 / n)
-        pts = [(0.0, 0.0), (r1_full, 0.0)]
-        # keep the simultaneous corner only when it beats time sharing the
-        # single-user points
-        if r1_full > 0.0 and r2_full > 0.0 and cx / r1_full + cy / r2_full > 1.0:
-            pts.append((cx, cy))
-        pts.append((0.0, r2_full))
-        out = []
-        for p in pts:
-            if not out or p != out[-1]:
-                out.append(p)
-        if len(out) > 1 and out[-1] == out[0]:
-            out.pop()
-        return RatePolygon(tuple(out))
+        # 0.5 C(2x) <= C(x) exactly; the clamp undoes rounding past it
+        cx = min(0.5 * c_gauss(2.0 * g.k10 ** 2 * budget.p1 / n), r1)
+        cy = min(0.5 * c_gauss(2.0 * g.k20 ** 2 * budget.p2 / n), r2)
+        return RatePolygon(convex_hull_ccw(((0.0, 0.0), (r1, 0.0), (cx, cy), (0.0, r2))))
     raise ValidationError(f"unknown baseline kind {kind!r}, expected 'MAC' or 'TDMA'")

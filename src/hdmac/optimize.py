@@ -6,16 +6,18 @@ each cap is a sum of perspectives a * C(k^2 E / (a N)) of concave functions.
 A coherent pair of slot-3 energies (x, y) enters through sqrt(x y), which
 gets a variable W of its own under the rotated-cone row x y - W^2 >= 0, so
 every numerator is linear in the variables, the cone is convex and no
-gradient blows up where x or y is 0.  The caps of DF, OUTER, DEGRADED,
-PDF_JOINT and PDF_SEPARATE are then jointly concave, and with rate
+gradient blows up where x or y is 0.  Each solver records its scheme's
+kernel (gaussian's ``df_caps`` or ``pdf_caps``) once as a table of terms,
+caps = M @ [a_S C(K E / (a_S N))], whose values and Jacobian are a few array
+operations.  The caps of DF, OUTER, DEGRADED, PDF_JOINT and PDF_SEPARATE
+weigh every term positively and are jointly concave, and with rate
 variables R = (R1, R2) a weight direction is the concave program
 
     maximize mu1 R1 + mu2 R2  subject to  R1 <= m1, R2 <= m2,
     R1 + R2 <= every sum cap, the two power budgets, a1 + a2 <= 1
     and the cone rows,
 
-which SLSQP solves with values and gradients from the scheme family's kernel
-in gaussian.py (``df_caps`` or ``pdf_caps``) run on dual numbers.
+which SLSQP solves.
 
 - Every solver point is rebuilt as TimeSlots and an allocation that spend
   both budgets, re-evaluated through ``scheme_region`` and
@@ -33,16 +35,15 @@ in gaussian.py (``df_caps`` or ``pdf_caps``) run on dual numbers.
   ``weighted_best_vertex`` reports (largest R1, then largest R2).
 - A slot that is empty where a solve starts keeps no energy during that
   solve: at an empty slot a * C(k E / a) has no gradient.
-- PDF_PARTIAL is a difference of concave functions: its inter-user terms
-  subtract C(K12^2 P10 / N) and the mirror term.  It is solved by the
-  convex-concave procedure: each re-solve linearizes the subtracted terms at
-  the current point, which makes the program concave and its value a lower
-  bound that is tight at that point, so no round loses.  The rounds start on
-  the P10 = P20 = 0 face, where the scheme coincides with PDF_JOINT.
+- Every solve is a round of the convex-concave procedure (Lipp & Boyd,
+  Optim. Eng. 17, 2016): it linearizes the table's negative-weight terms,
+  only PDF_PARTIAL's C(K12^2 P10 / N) and its mirror, at its start, so the
+  program is concave and its value a lower bound, tight there: no round
+  loses.  PDF_PARTIAL starts on the P10 = P20 = 0 face, where it is PDF_JOINT.
 
-``OptResult.evaluations`` counts kernel evaluations: one per solver point
-and one per rebuilt point or linearization, including those of the DF and
-PDF_JOINT solves a superposition scheme starts from.
+``OptResult.evaluations`` counts cap evaluations: one per solver point,
+rebuilt point and solve start, including those of the DF and PDF_JOINT
+solves a superposition scheme starts from.
 
 Weights are divided by max(mu1, mu2) once, so the result does not depend on
 their scale, and directions with mu2 > mu1 are solved on the user-swapped
@@ -67,6 +68,7 @@ from .core import (
     RatePolygon,
     TimeSlots,
     ValidationError,
+    _LN2,
     _check,
     c_gauss,
     convex_hull_ccw,
@@ -80,8 +82,6 @@ from .gaussian import (
     df_caps,
     df_gains,
     df_powers,
-    dual_term,
-    partial_minus,
     pdf_caps,
     pdf_gains,
     pdf_powers,
@@ -152,12 +152,19 @@ def _check_weights(mu1: float, mu2: float) -> None:
 
 
 def weighted_best_vertex(poly: RatePolygon, mu: Tuple[float, float]):
-    """Polygon vertex maximizing mu1*r1 + mu2*r2; ties go to larger r1, then r2."""
+    """Polygon vertex maximizing mu1*r1 + mu2*r2; ties, values within
+    _TIE_ULPS ulps of the best so far, go to larger r1, then r2."""
     mu1, mu2 = float(mu[0]), float(mu[1])
     _check_weights(mu1, mu2)
     _check(len(poly.vertices) > 0, "empty polygon")
-    best = max(poly.vertices, key=lambda v: (mu1 * v[0] + mu2 * v[1], v[0], v[1]))
-    return best, mu1 * best[0] + mu2 * best[1]
+    best = poly.vertices[0]
+    top = mu1 * best[0] + mu2 * best[1]
+    for v in poly.vertices:
+        value = mu1 * v[0] + mu2 * v[1]
+        tie = _TIE_ULPS * math.ulp(top)
+        if value - top > tie or (value - top >= -tie and v > best):
+            best, top = v, value
+    return best, top
 
 
 def upper_hull(points: Sequence[Tuple[float, float]]) -> RatePolygon:
@@ -351,6 +358,7 @@ _POLISH = (0.01, 1e-15)
 _MAXITER = 100
 _SNAP = 1e-6            # rebuilt points are also tried with shorter slots emptied
 _TIE_EPS = 1e-9         # weight of the tie rule when candidates are compared
+_TIE_ULPS = 4           # weighted values this close are ties in weighted_best_vertex
 _TIE_TURN = 1e-3        # smallest weight on R2 that SLSQP resolves
 _RESTARTS = 2           # re-solves from the rebuilt point of a failed solve
 _ROUNDS = 20            # most re-solves of the best candidate
@@ -395,26 +403,60 @@ def _energies(family: _Family, slots: TimeSlots, alloc) -> list:
                                   zip(family.powers(alloc), family.slot_of))]
 
 
-def _dual_caps(kernel, family: _Family, z):
-    """kernel(a1, a2, a3, powers, ops) at z on dual vectors [value, d/d(a1,
-    a2, energies, coherent energies)].  Each power is its energy over the
-    length of its slot, every slot is floored at _SLOT_FLOOR, and the ops'
-    gmean returns, call by call, the coherent energy of the family's next
-    pair over a3."""
-    slot_of = family.slot_of + (2,) * len(family.pairs)
-    n = len(slot_of)
-    basis = np.eye(3 + n)[1:]
-    slots = np.array((basis[0], basis[1], -basis[0] - basis[1]))
-    slots[:, 0] = (max(z[0], _SLOT_FLOOR), max(z[1], _SLOT_FLOOR),
-                   max(1.0 - z[0] - z[1], _SLOT_FLOOR))
-    # d(E/a) = (dE - (E/a) da) / a
-    a = slots[list(slot_of)]
-    p = np.maximum(z[2:2 + n], 0.0) / a[:, 0]
-    powers = (basis[2:] - p[:, None] * a) / a[:, :1]
-    powers[:, 0] = p
-    coherent = iter(powers[len(family.slot_of):])
-    ops = (dual_term, lambda x, y: next(coherent))
-    return kernel(*slots, list(powers[:len(family.slot_of)]), ops)
+class _Form(dict):
+    """A signed sum of recorded terms: term index -> weight."""
+
+    def __add__(self, other):
+        out = _Form(self)
+        for t, w in other.items():
+            out[t] = out.get(t, 0.0) + w
+        return out
+
+    def __sub__(self, other):
+        return self + _Form({t: -w for t, w in other.items()})
+
+
+class _Table:
+    """A scheme's caps M @ [a_S C(K E / (a_S N))] at z = (a1, a2, E): term t
+    has slot S[t], noise N[t] and numerator row K[t] over the energies E
+    (coherent ones last), all in slot S[t].  One kernel run on linear-form
+    ops records it: slots are the indices 0, 1, 2, powers and gmean's
+    results unit rows over E, and term records (slot, row, noise)."""
+
+    SLOT_ROWS = np.array(((1.0, 0.0), (0.0, 1.0), (-1.0, -1.0)))   # d(a1, a2, a3)/d(a1, a2)
+
+    def __init__(self, family: _Family, scheme: str, gains):
+        n = len(family.slot_of)
+        rows = np.eye(n + len(family.pairs))
+        coherent = iter(rows[n:])
+        terms = []
+
+        def term(slot, num, noise):
+            terms.append((slot, num, noise))
+            return _Form({len(terms) - 1: 1.0})
+
+        r1, r2, sums = family.kernel(scheme, gains, 0, 1, 2, list(rows[:n]),
+                                     (term, lambda x, y: next(coherent)))
+        m = np.zeros((2 + len(sums), len(terms)))
+        for i, form in enumerate((r1, r2, *sums)):
+            m[i, list(form)] = list(form.values())
+        used = np.flatnonzero(m.any(axis=0))
+        self.M = m[:, used]
+        self.S, self.K, self.N = map(np.array, zip(*(terms[t] for t in used)))
+        self.negative = np.flatnonzero((self.M < 0.0).any(axis=0))   # PDF_PARTIAL's two
+
+    def terms(self, z):
+        """The terms' values at z and their Jacobian over (a1, a2, E).  Slots
+        are floored at _SLOT_FLOOR and energies at 0, in value only: the
+        derivatives are those of the unclamped formula there."""
+        a = np.maximum((z[0], z[1], 1.0 - z[0] - z[1]), _SLOT_FLOOR)[self.S]
+        x = self.K @ np.maximum(z[2:2 + self.K.shape[1]], 0.0) / (a * self.N)
+        c = 0.5 * np.log1p(x) / _LN2
+        dc = 0.5 / (_LN2 * (1.0 + x))          # C'(x)
+        jac = np.empty((len(x), 2 + self.K.shape[1]))
+        jac[:, :2] = self.SLOT_ROWS[self.S] * (c - x * dc)[:, None]
+        jac[:, 2:] = self.K * (dc / self.N)[:, None]
+        return a * c, jac
 
 
 def _rebuild(family: _Family, scheme: str, z, budget: PowerBudget, shortest: float):
@@ -491,6 +533,7 @@ class _Solver:
             self.family, self.gains = _PDF, pdf_gains(g)
         else:
             self.family, self.gains = _DF, df_gains(scheme, g, rho)
+        self.table = _Table(self.family, scheme, self.gains)
         self.scale = None
         self.evaluations = 0
         # every cap is a sum of at most four terms a * C(x / a) (PDF_PARTIAL
@@ -498,15 +541,14 @@ class _Solver:
         e12, e21, k10, k20, noise = self.gains
         gain = (math.sqrt(e12) + math.sqrt(e21) + k10 + k20) ** 2
         self.rate_bound = 4.0 * c_gauss(gain * (budget.p1 + budget.p2) / noise)
-        n = len(self.family.slot_of) + len(self.family.pairs)
         # solver columns of each coherent pair and of its coherent energy
         pairs = self.family.pairs
         self.cones = (np.array([2 + i for i, _, _ in pairs]), np.array([2 + j for _, j, _ in pairs]),
                       2 + len(self.family.slot_of) + np.arange(len(pairs)))
         # the linear parts of the rows (all >= 0): both budgets, a1 + a2 <= 1,
         # and the rates under the caps (m1, m2, then the sum caps)
-        n_caps = 4 if scheme in ("OUTER", "DEGRADED") else 6
-        self.linear = np.zeros((3 + n_caps, n + 4))
+        n_caps = len(self.table.M)
+        self.linear = np.zeros((3 + n_caps, self.table.K.shape[1] + 4))
         for i, u in enumerate(self.family.owner):
             self.linear[u, 2 + i] = -1.0
         self.linear[2, :2] = -1.0
@@ -518,19 +560,18 @@ class _Solver:
     # -- the model -------------------------------------------------------
 
     def model(self, at):
-        """z -> dual caps: the kernel, or for PDF_PARTIAL the concave model
-        whose subtracted terms are linearized at the point ``at``."""
-        scheme, gains, family = self.scheme, self.gains, self.family
-        if scheme != "PDF_PARTIAL":
-            return lambda z: _dual_caps(lambda *a: family.kernel(scheme, gains, *a), family, z)
-        tangents = _dual_caps(lambda *a: partial_minus(gains, *a), family, at)
+        """z -> (caps, Jacobian over z[:-2]) of the table with its
+        negative-weight terms replaced by their tangents at ``at``: a concave
+        model, tight at ``at``."""
+        table, neg = self.table, self.table.negative
+        v0, j0 = (x[neg] for x in table.terms(at))
         self.evaluations += 1
-        x0 = np.asarray(at[:-2])
 
         def caps(z):
-            step = z[:-2] - x0
-            minus = [np.concatenate(([t[0] + t[1:] @ step], t[1:])) for t in tangents]
-            return _dual_caps(lambda *a: pdf_caps(scheme, gains, *a, minus=minus), family, z)
+            v, j = table.terms(z)
+            v[neg] = v0 + j0 @ (z[:-2] - at[:-2])
+            j[neg] = j0
+            return table.M @ v, table.M @ j
         return caps
 
     # -- candidates ------------------------------------------------------
@@ -569,7 +610,6 @@ class _Solver:
         """One SLSQP solve from z that maximizes weights . R."""
         from scipy.optimize import minimize as _scipy_minimize
 
-        n_caps = len(self.base) - 3
         # each coherent energy W of a pair (x, y) stays under sqrt(x y):
         # (x y - W^2) / (p1 p2) >= 0
         cx, cy, cw = self.cones
@@ -582,11 +622,10 @@ class _Solver:
         def evaluate(z):
             key = z.tobytes()
             if key not in last:
-                m1, m2, sums = model(z)
-                caps = np.array((m1, m2, *sums)) / self.scale
+                caps, grad = model(z)
                 rows = self.base + self.linear @ z
-                rows[3:] += caps[:, 0]
-                jac[3:3 + n_caps, :-2] = caps[:, 1:]
+                rows[3:] += caps / self.scale
+                jac[3:len(self.base), :-2] = grad / self.scale
                 cone = jac[len(self.base):]
                 cone[k, cx], cone[k, cy], cone[k, cw] = z[cy] / norm, z[cx] / norm, -2 * z[cw] / norm
                 last.clear()
@@ -616,8 +655,8 @@ class _Solver:
                                             "jac": lambda z: evaluate(z)[1]})
 
     def run(self, start: _Candidate, kind, restarts: int = 0, weights=None) -> _Candidate:
-        """Maximize weights . R (by default mu . R) from a candidate, linearized
-        there for PDF_PARTIAL.  A solve that reports failure is restarted from
+        """Maximize weights . R (by default mu . R) from a candidate, on the
+        model linearized there.  A solve that reports failure is restarted from
         its rebuilt point, up to ``restarts`` times while that point gains.
         Returns the best of the start and the rebuilt candidates."""
         z = self.point(start)
@@ -636,7 +675,7 @@ class _Solver:
 
     def solve(self, start: _Candidate, kind, turn: bool = True) -> _Candidate:
         """The candidate solved from ``start`` with the ``kind`` of solve,
-        re-solved from itself (the convex-concave procedure for PDF_PARTIAL),
+        re-solved from itself (rounds of the convex-concave procedure),
         then, with ``turn``, turned toward R2 where mu2 is too small for SLSQP
         to resolve."""
         best = self.run(start, kind, _RESTARTS)

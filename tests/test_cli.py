@@ -369,3 +369,32 @@ class TestByteIdentity:
         got = {p.name: scenario_hash(parse_scenario(p.read_text(encoding="utf-8")))
                for p in sorted(SCENARIOS.glob("*.yaml"))}
         assert got == want
+
+
+class TestOptimizerGolden:
+    """tests/data/optimizer_golden.json holds the objective column of
+    `hdmac frontier` and the verdict statuses of `hdmac verify` on
+    symmetric_k2 at five weight directions.  A solver change may move the
+    optimized CSVs in their last digits, so objectives match within 1e-9."""
+
+    GOLDEN = json.loads((Path(__file__).parent / "data" / "optimizer_golden.json")
+                        .read_text(encoding="utf-8"))
+
+    def _run(self, cmd, out):
+        args = [cmd, "--scenario", str(SCENARIOS / "symmetric_k2.yaml"), "--weights", "5",
+                "--out", str(out)]
+        assert main(args) == 0
+        return out
+
+    def test_frontier_objectives(self, tmp_path):
+        out = self._run("frontier", tmp_path)
+        for file, want in self.GOLDEN["frontier"].items():
+            with open(out / file, newline="", encoding="utf-8") as fh:
+                got = [float(row["objective"]) for row in csv.DictReader(fh)]
+            assert got == pytest.approx(want, rel=0, abs=1e-9), file
+
+    def test_verify_statuses(self, tmp_path):
+        out = self._run("verify", tmp_path)
+        with open(out / "verdicts.csv", newline="", encoding="utf-8") as fh:
+            got = {row["claim"]: row["status"] for row in csv.DictReader(fh)}
+        assert got == self.GOLDEN["verify"]

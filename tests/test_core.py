@@ -16,6 +16,7 @@ from hdmac.core import (
     TimeSlots,
     ValidationError,
     c_gauss,
+    convex_hull_ccw,
     polygon_from_constraints,
     power_feasible,
 )
@@ -201,6 +202,30 @@ def _point_to_poly_dist(p, verts):
         if m == 2:
             break
     return best
+
+
+class TestConvexHull:
+    def test_square_with_interior_and_edge_points(self):
+        pts = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5), (0.5, 0.0)]
+        assert convex_hull_ccw(pts) == ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+
+    @pytest.mark.parametrize("side", [1e-200, 5e-324])
+    def test_tiny_square_keeps_its_vertices(self, side):
+        # the float cross products underflow to 0 here
+        square = ((0.0, 0.0), (side, 0.0), (side, side), (0.0, side))
+        assert convex_hull_ccw(square + ((0.0, 0.0),)) == square
+
+    @pytest.mark.parametrize("p, q, ccw", [
+        # the float cross product of p and q is 0; exactly it is 9.0e-19 > 0
+        ((0.23796462709189137, 0.08804691202399981), (0.4969792363920115, 0.18388231746504427),
+         True),
+        # and here -1.0e-17 < 0
+        ((0.36995516654807925, 0.13688341162278933), (0.8168018434692345, 0.30221668208361674),
+         False),
+    ])
+    def test_nearly_collinear_points_keep_their_exact_turn(self, p, q, ccw):
+        origin = (0.0, 0.0)
+        assert convex_hull_ccw([origin, p, q]) == ((origin, p, q) if ccw else (origin, q, p))
 
 
 class TestPolygonFromConstraints:

@@ -16,6 +16,7 @@ from hdmac.core import (
     TimeSlots,
     ValidationError,
     c_gauss,
+    convex_hull_ccw,
     polygon_from_constraints,
 )
 from hdmac.gaussian import (
@@ -263,6 +264,21 @@ class TestBaselines:
         corner = (0.5 * C(4.0), 0.5 * C(4.0))
         assert corner in poly.vertices
         assert round(corner[0], 4) == 0.5805
+
+    @pytest.mark.parametrize("k10, k20, noise, p1, p2", [
+        # rounding puts the half-slot corner's r1 (r2) one ulp past the
+        # single-user rate, a subnormal number
+        (3.44983169942676e-10, 1.1204963743328163e-06, 46.043004078624286,
+         4.6260170409949625e-288, 1.0833699587697157e+189),
+        (0.4414865677725715, 3.2373054076460123e-06, 75.08981093067608,
+         1.2790053424783086e+58, 9.265676264434478e-299),
+    ])
+    def test_tdma_subnormal_corner_stays_inside(self, k10, k20, noise, p1, p2):
+        poly = baseline_region("TDMA", ChannelGains(0.0, 0.0, k10, k20, noise), PowerBudget(p1, p2))
+        assert max(x for x, _ in poly.vertices) == C(k10 ** 2 * p1 / noise)
+        assert max(y for _, y in poly.vertices) == C(k20 ** 2 * p2 / noise)
+        assert len(poly.vertices) == 4
+        assert convex_hull_ccw(poly.vertices) == poly.vertices
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):

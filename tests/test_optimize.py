@@ -22,10 +22,8 @@ from hdmac.gaussian import (
     CHECKED_OPS,
     NoiseCorrelation,
     baseline_region,
-    df_caps,
     df_gains,
     df_region,
-    pdf_caps,
     pdf_gains,
 )
 from hdmac.optimize import (
@@ -42,7 +40,7 @@ from hdmac.optimize import (
     weighted_best_vertex,
     _DF,
     _PDF,
-    _dual_caps,
+    _Table,
     _unit_cube_allocation,
 )
 from hdmac.verify import verify_achievable_in_outer
@@ -71,6 +69,13 @@ class TestWeightedBestVertex:
         poly = polygon_from_constraints(alloc_region)
         _, value = weighted_best_vertex(poly, (1.0, 1.0))
         assert value == pytest.approx(1.2930, abs=5e-5)
+
+    def test_ties_survive_rounding(self):
+        # the two ends of the sum-rate face differ by one ulp in value at mu
+        face = ((0.6726632036530478, 0.6477618368636007), (0.6469915245726868, 0.6734335159439616))
+        poly = RatePolygon(((0.0, 0.0), (face[0][0], 0.0), *face, (0.0, face[1][1])))
+        vertex, _ = weighted_best_vertex(poly, (math.cos(math.pi / 4), math.sin(math.pi / 4)))
+        assert vertex == face[0]
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValidationError):
@@ -433,7 +438,7 @@ class TestConcavePath:
         # the coherent energy at most sqrt(ES1 ES2)
         z = np.array([0.45 * u[0], 0.45 * u[1], *energies,
                       u[8] * math.sqrt(energies[4] * energies[5])])
-        _assert_gradients(lambda *a: df_caps(scheme, gains, *a), _DF, z)
+        _assert_gradients(scheme, gains, _DF, z)
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(("PDF_JOINT", "PDF_SEPARATE", "PDF_PARTIAL")),
@@ -443,7 +448,7 @@ class TestConcavePath:
         gains = pdf_gains(ChannelGains(*k, noise=1.0))
         z = np.array([0.45 * u[0], 0.45 * u[1], *u[2:12],
                       u[12] * math.sqrt(u[8] * u[11]), u[13] * math.sqrt(u[9] * u[10])])
-        _assert_gradients(lambda *a: pdf_caps(scheme, gains, *a), _PDF, z)
+        _assert_gradients(scheme, gains, _PDF, z)
 
     def test_outer_witness_reaches_known_point(self):
         # a feasible point with value 0.919068754 is known for this direction
@@ -477,26 +482,86 @@ class TestConcavePath:
             assert res.value == res.mu[0] * res.vertex[0] + res.mu[1] * res.vertex[1]
 
 
-def _assert_gradients(kernel, family, z, h=1e-6):
-    """Dual values of the kernel at z = (a1, a2, energies, coherent energies)
-    equal its float values, and dual gradients its central differences."""
+def _kernel_caps(scheme, gains, family, z, ops=CHECKED_OPS):
+    """The family kernel's float caps at z = (a1, a2, energies, coherent
+    energies); an empty slot's powers are 0."""
+    n = len(family.slot_of)
+    a = (z[0], z[1], 1.0 - z[0] - z[1])
+    powers = [e / a[s] if a[s] > 0.0 else 0.0 for e, s in zip(z[2:2 + n], family.slot_of)]
+    m1, m2, sums = family.kernel(scheme, gains, *a, powers, ops)
+    return np.array((m1, m2, *sums))
+
+
+def _assert_gradients(scheme, gains, family, z, h=1e-6):
+    """The table's values at z = (a1, a2, energies, coherent energies) equal
+    the kernel's float values, and its Jacobian the kernel's central
+    differences."""
     n = len(family.slot_of)
 
     def caps(z):
-        a = (z[0], z[1], 1.0 - z[0] - z[1])
-        powers = [e / a[s] for e, s in zip(z[2:2 + n], family.slot_of)]
-        coherent = iter(w / a[2] for w in z[2 + n:])
-        m1, m2, sums = kernel(*a, powers, (CHECKED_OPS[0], lambda x, y: next(coherent)))
-        return np.array((m1, m2, *sums))
+        coherent = iter(w / (1.0 - z[0] - z[1]) for w in z[2 + n:])
+        return _kernel_caps(scheme, gains, family, z, (CHECKED_OPS[0], lambda x, y: next(coherent)))
 
-    m1, m2, sums = _dual_caps(kernel, family, z)
-    dual = np.array((m1, m2, *sums))
-    assert np.allclose(dual[:, 0], caps(z), rtol=1e-12, atol=1e-14)
+    table = _Table(family, scheme, gains)
+    values, jac = table.terms(z)
+    assert np.allclose(table.M @ values, caps(z), rtol=1e-12, atol=1e-14)
+    jac = table.M @ jac
     for i in range(len(z)):
         step = np.zeros(len(z))
         step[i] = h
         fd = (caps(z + step) - caps(z - step)) / (2 * h)
-        assert np.allclose(dual[:, 1 + i], fd, rtol=1e-6, atol=1e-7)
+        assert np.allclose(jac[:, i], fd, rtol=1e-6, atol=1e-7)
+
+
+def _table_case(scheme, k, noise, rho):
+    family = _PDF if scheme.startswith("PDF") else _DF
+    g = ChannelGains(*k, noise=noise)
+    gains = pdf_gains(g) if family is _PDF else df_gains(scheme, g, NoiseCorrelation(*rho))
+    return family, gains
+
+
+_slot_weight = st.just(0.0) | st.floats(1e-3, 1.0)
+
+
+class TestTable:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(SCHEMES), st.lists(st.floats(0.0, 3.0), min_size=4, max_size=4),
+           st.floats(0.1, 3.0), st.tuples(st.floats(-0.9, 0.9), st.floats(-0.9, 0.9)),
+           st.tuples(_slot_weight, _slot_weight, _slot_weight),
+           st.lists(st.floats(0.0, 5.0), min_size=12, max_size=12))
+    def test_table_matches_the_checked_kernel(self, scheme, k, noise, rho, w, e):
+        family, gains = _table_case(scheme, k, noise, rho)
+        total = sum(w) or 1.0
+        a1, a2 = w[0] / total, w[1] / total
+        # an empty slot holds no energy; each coherent energy sits on its cone
+        energies = [v if w[s] > 0.0 else 0.0 for v, s in zip(e, family.slot_of)]
+        coherent = [math.sqrt(energies[i] * energies[j]) for i, j, _ in family.pairs]
+        z = np.array([a1, a2, *energies, *coherent])
+        table = _Table(family, scheme, gains)
+        values, _ = table.terms(z)
+        want = _kernel_caps(scheme, gains, family, z)
+        assert np.allclose(table.M @ values, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_only_partial_decoding_subtracts(self, scheme):
+        k, noise = (0.7, 1.9, 1.3, 0.4), 1.1
+        family, gains = _table_case(scheme, k, noise, (0.3, -0.2))
+        table = _Table(family, scheme, gains)
+        slot_of = np.array(family.slot_of + (2,) * len(family.pairs))
+        # every term's numerator lies in the term's own slot
+        for s, row in zip(table.S, table.K):
+            assert set(slot_of[row != 0.0]) <= {s}
+        negative = table.negative
+        if scheme != "PDF_PARTIAL":
+            assert negative.size == 0
+            return
+        # the partner decoding only the public part: K12^2 P10 in slot 1
+        # and K21^2 P20 in slot 2, subtracted once from each cap that holds them
+        rows = np.zeros((2, len(slot_of)))
+        rows[0, 1], rows[1, 3] = k[0] ** 2, k[1] ** 2
+        assert list(table.S[negative]) == [0, 1]
+        assert np.array_equal(table.K[negative], rows)
+        assert set(table.M[:, negative].ravel()) <= {0.0, -1.0}
 
 
 class TestFrontier:
