@@ -44,11 +44,15 @@ which SLSQP solves.
   loses.  PDF_PARTIAL starts on the P10 = P20 = 0 face, where it is PDF_JOINT.
 
 SLSQP asks for the constraint values at every line-search point and for
-their Jacobian only at the points it accepts, so the two are computed
-apart.  ``OptResult.evaluations`` counts cap evaluations: one per solver
-point, whether SLSQP asks for its values, its Jacobian or both, one per
-rebuilt point and one per solve start, including those of the DF and
-PDF_JOINT solves a superposition scheme starts from.
+their Jacobian at the points it accepts, nearly always just after their
+values.  A solve keeps the table's terms at its latest point (slot lengths,
+ratios and C values), from which the values follow and the Jacobian needs
+only C' and the assembly.  ``OptResult.evaluations`` counts cap
+evaluations: one per distinct solver point, whichever callbacks SLSQP calls
+there, one per distinct rebuilt point (the two rebuilds of a point are one
+unless a slot is shorter than 1e-6) and one per solve start only where the
+table has negative-weight terms, including those of the DF and PDF_JOINT
+solves a superposition scheme starts from.
 
 Weights are divided by max(mu1, mu2) once, so the result does not depend on
 their scale, and directions with mu2 > mu1 are solved on the user-swapped
@@ -61,7 +65,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -422,6 +426,14 @@ class _Form(dict):
         return self + _Form({t: -w for t, w in other.items()})
 
 
+class _Terms(NamedTuple):
+    """A table's terms at one solver point: ratios x, C(x) and values a_S C(x)."""
+
+    x: np.ndarray
+    c: np.ndarray
+    values: np.ndarray
+
+
 class _Table:
     """A scheme's caps M @ [a_S C(K E / (a_S N))] at z = (a1, a2, E): term t
     has slot S[t], noise N[t] and numerator row K[t] over the energies E
@@ -449,30 +461,31 @@ class _Table:
         used = np.flatnonzero(m.any(axis=0))
         self.M = m[:, used]
         self.S, self.K, self.N = map(np.array, zip(*(terms[t] for t in used)))
+        self.slot_rows = self.SLOT_ROWS[self.S]
         self.negative = np.flatnonzero((self.M < 0.0).any(axis=0))   # PDF_PARTIAL's two
 
-    def _ratios(self, z):
-        """Each term's slot a_S and ratio K E / (a_S N) at z, with slots
-        floored at _SLOT_FLOOR and energies at 0."""
-        a = np.maximum((z[0], z[1], 1.0 - z[0] - z[1]), _SLOT_FLOOR)[self.S]
-        return a, self.K @ np.maximum(z[2:2 + self.K.shape[1]], 0.0) / (a * self.N)
+    def evaluate(self, z) -> _Terms:
+        """The terms at z, with slots floored at _SLOT_FLOOR and energies at 0."""
+        lengths = z[:3].copy()
+        lengths[2] = 1.0 - lengths[0] - lengths[1]
+        a = np.maximum(lengths, _SLOT_FLOOR, out=lengths)[self.S]
+        x = self.K @ np.maximum(z[2:2 + self.K.shape[1]], 0.0) / (a * self.N)
+        c = 0.5 * np.log1p(x) / _LN2
+        return _Terms(x, c, a * c)
 
-    def values(self, z):
-        """The terms' values at z, bit for bit those of ``terms``."""
-        a, x = self._ratios(z)
-        return a * (0.5 * np.log1p(x) / _LN2)
+    def jacobian(self, t: _Terms):
+        """The terms' Jacobian over (a1, a2, E): the derivatives of the
+        unclamped formula, also where ``evaluate`` floors a slot or an energy."""
+        dc = 0.5 / (_LN2 * (1.0 + t.x))          # C'(x)
+        jac = np.empty((len(t.x), 2 + self.K.shape[1]))
+        jac[:, :2] = self.slot_rows * (t.c - t.x * dc)[:, None]
+        jac[:, 2:] = self.K * (dc / self.N)[:, None]
+        return jac
 
     def terms(self, z):
-        """The terms' values at z and their Jacobian over (a1, a2, E).  Slots
-        are floored at _SLOT_FLOOR and energies at 0, in value only: the
-        derivatives are those of the unclamped formula there."""
-        a, x = self._ratios(z)
-        c = 0.5 * np.log1p(x) / _LN2
-        dc = 0.5 / (_LN2 * (1.0 + x))          # C'(x)
-        jac = np.empty((len(x), 2 + self.K.shape[1]))
-        jac[:, :2] = self.SLOT_ROWS[self.S] * (c - x * dc)[:, None]
-        jac[:, 2:] = self.K * (dc / self.N)[:, None]
-        return a * c, jac
+        """The terms' values at z and their Jacobian over (a1, a2, E)."""
+        t = self.evaluate(z)
+        return t.values, self.jacobian(t)
 
 
 def _rebuild(family: _Family, scheme: str, z, budget: PowerBudget, shortest: float):
@@ -572,24 +585,30 @@ class _Solver:
         self.linear[5:, -2:] = -1.0
         self.base = np.zeros(3 + n_caps)
         self.base[:3] = budget.p1, budget.p2, 1.0
+        # the Jacobian's rows with the cone rows' entries still 0
+        self.template = np.zeros((len(self.linear) + len(pairs), self.linear.shape[1]))
+        self.template[:len(self.linear)] = self.linear
 
     # -- the model -------------------------------------------------------
 
     def model(self, at):
-        """z -> caps and z -> their Jacobian over z[:-2], of the table with its
-        negative-weight terms replaced by their tangents at ``at``: a concave
-        model, tight at ``at``."""
+        """(z, t) -> caps and (z, t) -> their Jacobian over z[:-2], where t is
+        the table's terms at z, of the table with its negative-weight terms
+        replaced by their tangents at ``at``: a concave model, tight at
+        ``at``.  Only a table with such terms evaluates ``at``."""
         table, neg = self.table, self.table.negative
+        if neg.size == 0:
+            return (lambda z, t: table.M @ t.values), (lambda z, t: table.M @ table.jacobian(t))
         v0, j0 = (x[neg] for x in table.terms(at))
         self.evaluations += 1
 
-        def caps(z):
-            v = table.values(z)
+        def caps(z, t):
+            v = t.values.copy()
             v[neg] = v0 + j0 @ (z[:-2] - at[:-2])
             return table.M @ v
 
-        def jacobian(z):
-            j = table.terms(z)[1]
+        def jacobian(z, t):
+            j = table.jacobian(t)
             j[neg] = j0
             return table.M @ j
         return caps, jacobian
@@ -599,11 +618,15 @@ class _Solver:
     def candidate(self, z) -> _Candidate:
         """The better of z's rebuilt points, with and without slots shorter
         than _SNAP emptied: SLSQP can leave a slot just above 0 that wastes
-        energy."""
+        energy.  Where no slot is that short the two are one point, evaluated
+        once."""
         mu = tuple(self.mu)
-        best = None
+        best = seen = None
         for shortest in (_SLOT_FLOOR, _SNAP):
             slots, alloc = _rebuild(self.family, self.scheme, z, self.budget, shortest)
+            if (slots, alloc) == seen:
+                break       # no slot lies in [_SLOT_FLOOR, _SNAP): the same point
+            seen = slots, alloc
             if not power_feasible(self.family.name, slots, alloc, self.budget)[2]:
                 raise RuntimeError("a rebuilt point misses the power budget")
             region = scheme_region(self.scheme, self.g, slots, alloc, self.rho)
@@ -639,29 +662,25 @@ class _Solver:
         k = np.arange(len(cw))
         norm = self.budget.p1 * self.budget.p2
         n_rows = len(self.base)
-        last = None
+        key = terms = None
 
-        def count(z):
-            # one evaluation per distinct point, whichever callback sees it first
-            nonlocal last
-            key = z.tobytes()
-            if key != last:
-                last = key
+        def evaluated(z):
+            # the table's terms at z, evaluated by whichever callback sees z first
+            nonlocal key, terms
+            seen = z.tobytes()
+            if seen != key:
+                key, terms = seen, self.table.evaluate(z)
                 self.evaluations += 1
+            return terms
 
-        # SLSQP asks for values at every line-search point and for the
-        # Jacobian only at the points it accepts
         def rows(z):
-            count(z)
             out = self.base + self.linear @ z
-            out[3:] += caps(z) / self.scale
+            out[3:] += caps(z, evaluated(z)) / self.scale
             return np.concatenate((out, (z[cx] * z[cy] - z[cw] ** 2) / norm))
 
         def jacobian(z):
-            count(z)
-            jac = np.zeros((n_rows + len(cw), len(z)))
-            jac[:n_rows] = self.linear
-            jac[3:n_rows, :-2] = grad(z) / self.scale
+            jac = self.template.copy()
+            jac[3:n_rows, :-2] = grad(z, evaluated(z)) / self.scale
             cone = jac[n_rows:]
             cone[k, cx], cone[k, cy], cone[k, cw] = z[cy] / norm, z[cx] / norm, -2 * z[cw] / norm
             return jac

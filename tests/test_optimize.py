@@ -17,6 +17,7 @@ from hdmac.core import (
     polygon_from_constraints,
     power_feasible,
     power_used,
+    _LN2,
 )
 from hdmac.gaussian import (
     CHECKED_OPS,
@@ -42,10 +43,15 @@ from hdmac.optimize import (
     _DF,
     _PDF,
     _POLISH,
+    _SLOT_FLOOR,
+    _SNAP,
     _STALL,
+    _TIE_EPS,
+    _Candidate,
     _Solver,
     _Table,
     _energies,
+    _rebuild,
     _unit_cube_allocation,
 )
 from hdmac.verify import verify_achievable_in_outer
@@ -53,6 +59,7 @@ from hdmac.verify import verify_achievable_in_outer
 SYM = ChannelGains(2.0, 2.0, 1.0, 1.0, 1.0)
 BUDGET = PowerBudget(2.0, 2.0)
 FAST = SearchConfig(slot_grid=6, power_grid=5, refine_iters=20)
+_slot_weight = st.just(0.0) | st.floats(1e-3, 1.0)
 
 
 class TestWeightedBestVertex:
@@ -542,6 +549,57 @@ class TestConcavePath:
         assert len(points) > 1
         assert solver.evaluations - before == len(points)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(SCHEMES), st.lists(st.floats(0.0, 3.0), min_size=4, max_size=4),
+           st.floats(0.1, 3.0), st.tuples(st.floats(-0.9, 0.9), st.floats(-0.9, 0.9)),
+           st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)), st.floats(0.01, 10.0),
+           st.lists(st.tuples(st.tuples(_slot_weight, _slot_weight, _slot_weight),
+                              st.lists(st.floats(-1.0, 5.0), min_size=14, max_size=14)),
+                    min_size=4, max_size=4))
+    def test_callbacks_match_the_plain_reference(self, scheme, k, noise, rho, p, scale,
+                                                 draws):
+        g = ChannelGains(*k, noise=noise)
+        solver = _Solver(scheme, g, PowerBudget(*p), NoiseCorrelation(*rho), 1.0, 0.5)
+        solver.scale = scale
+        width = solver.linear.shape[1]
+        at, *points = (np.array([w[0] / (sum(w) or 1.0), w[1] / (sum(w) or 1.0),
+                                 *e[:width - 2]]) for w, e in draws)
+        model = solver.model(at)
+        fun, jac = _callbacks(solver, model, at)
+        want = _reference_callbacks(solver, at)
+        # a point whose Jacobian is asked first, points whose values are asked
+        # first, then earlier points again, which a stale record would get wrong
+        calls = [(1, 0), (0, 0), (0, 1), (1, 1), (0, 2), (1, 0), (0, 0), (1, 2), (0, 1)]
+        before, last, distinct = solver.evaluations, None, 0
+        for which, i in calls:
+            z = points[i]
+            got = (fun, jac)[which](z.copy())
+            assert got.tobytes() == want[which](z).tobytes(), (which, i)
+            distinct += z.tobytes() != last
+            last = z.tobytes()
+        assert solver.evaluations - before == distinct
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_evaluations_skip_what_cannot_change_a_result(self, scheme):
+        g, budget = PANEL["skewed"]
+        rho = NoiseCorrelation(g.k10 / g.k12, g.k20 / g.k21)
+        solver = _Solver(scheme, g, budget, rho, 1.0, 0.5)
+        family = _PDF if scheme.startswith("PDF") else _DF
+        start = solver.candidate(_energies(family, *sample_allocation(
+            scheme, g, budget, random.Random(3), interior=True)))
+        z = solver.point(start)
+        # only a table with negative-weight terms evaluates a tangent
+        before = solver.evaluations
+        solver.model(z)
+        assert solver.evaluations - before == (scheme == "PDF_PARTIAL")
+        # every slot of z is at least 0.1 long, so both rebuilds are one point
+        short = z.copy()
+        short[0] = 1e-9
+        for point, cost in ((z, 1), (short, 2)):
+            before = solver.evaluations
+            assert solver.candidate(point) == _two_rebuilds(solver, point)
+            assert solver.evaluations - before == cost
+
     @pytest.mark.parametrize("scheme", ["DF", "PDF_JOINT"])
     def test_weight_scale_does_not_change_the_result(self, scheme):
         ref = optimize_scheme(SYM, BUDGET, scheme, (0.8, 0.6), FAST)
@@ -550,6 +608,60 @@ class TestConcavePath:
             assert (res.slots, res.allocation, res.vertex) == (ref.slots, ref.allocation,
                                                                 ref.vertex)
             assert res.value == res.mu[0] * res.vertex[0] + res.mu[1] * res.vertex[1]
+
+
+def _callbacks(solver, model, z):
+    """The constraint values and Jacobian callbacks that a solve from z hands
+    to SLSQP, without running it."""
+    import scipy.optimize
+
+    captured = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.optimize, "minimize",
+                   lambda fun, x0, **kwargs: captured.update(kwargs["constraints"]))
+        solver.minimize(model, z, solver.mu, _COLD)
+    return captured["fun"], captured["jac"]
+
+
+def _reference_callbacks(solver, at):
+    """The constraint rows and their Jacobian, built from ``_Table.terms`` at
+    every call, with the negative-weight terms' tangents at ``at``."""
+    table, neg = solver.table, solver.table.negative
+    v0, j0 = (x[neg] for x in table.terms(at))
+    cx, cy, cw = solver.cones
+    norm = solver.budget.p1 * solver.budget.p2
+    n = len(solver.base)
+
+    def rows(z):
+        v = table.terms(z)[0]
+        v[neg] = v0 + j0 @ (z[:-2] - at[:-2])
+        out = solver.base + solver.linear @ z
+        out[3:] += table.M @ v / solver.scale
+        return np.concatenate((out, (z[cx] * z[cy] - z[cw] ** 2) / norm))
+
+    def jacobian(z):
+        j = table.terms(z)[1]
+        j[neg] = j0
+        jac = np.zeros((n + len(cw), len(z)))
+        jac[:n] = solver.linear
+        jac[3:n, :-2] = table.M @ j / solver.scale
+        for r, (x, y, w) in enumerate(zip(cx, cy, cw)):
+            jac[n + r, x], jac[n + r, y], jac[n + r, w] = z[y] / norm, z[x] / norm, -2 * z[w] / norm
+        return jac
+    return rows, jacobian
+
+
+def _two_rebuilds(solver, z):
+    """The better of z's two rebuilt points, each evaluated."""
+    mu, best = tuple(solver.mu), None
+    for shortest in (_SLOT_FLOOR, _SNAP):
+        slots, alloc = _rebuild(solver.family, solver.scheme, z, solver.budget, shortest)
+        region = scheme_region(solver.scheme, solver.g, slots, alloc, solver.rho)
+        vertex, value = weighted_best_vertex(polygon_from_constraints(region), mu)
+        score = value + _TIE_EPS * (mu[1] * vertex[0] + mu[0] * vertex[1])
+        if best is None or score > best.score:
+            best = _Candidate(score, slots, alloc, vertex, value)
+    return best
 
 
 def _kernel_caps(scheme, gains, family, z, ops=CHECKED_OPS):
@@ -590,9 +702,6 @@ def _table_case(scheme, k, noise, rho):
     return family, gains
 
 
-_slot_weight = st.just(0.0) | st.floats(1e-3, 1.0)
-
-
 class TestTable:
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(SCHEMES), st.lists(st.floats(0.0, 3.0), min_size=4, max_size=4),
@@ -623,7 +732,12 @@ class TestTable:
         total = sum(w) or 1.0
         z = np.array([w[0] / total, w[1] / total, *e[:len(family.slot_of) + len(family.pairs)]])
         table = _Table(family, scheme, gains)
-        assert np.array_equal(table.values(z), table.terms(z)[0])
+        values = table.evaluate(z).values
+        assert values.tobytes() == table.terms(z)[0].tobytes()
+        # and the operations, in their order, of the formula a_S C(K E / (a_S N))
+        a = np.maximum((z[0], z[1], 1.0 - z[0] - z[1]), _SLOT_FLOOR)[table.S]
+        x = table.K @ np.maximum(z[2:], 0.0) / (a * table.N)
+        assert values.tobytes() == (a * (0.5 * np.log1p(x) / _LN2)).tobytes()
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_only_partial_decoding_subtracts(self, scheme):
