@@ -17,7 +17,12 @@ variables R = (R1, R2) a weight direction is the concave program
     R1 + R2 <= every sum cap, the two power budgets, a1 + a2 <= 1
     and the cone rows,
 
-which SLSQP solves.
+which SLSQP (Kraft, DFVLR-FB 88-28, 1988) solves.  ``_slsqp`` runs scipy's
+compiled SLSQP kernel from the reverse-communication loop that
+``scipy.optimize.minimize`` runs for this problem, without the wrapper around
+it: the objective is linear, so its value is one dot product and its
+gradient a constant.  The same kernel calls and callback calls, in the same
+order, give the same bits as ``minimize``, and a test checks that they do.
 
 - Every solver point is rebuilt as TimeSlots and an allocation that spend
   both budgets, re-evaluated through ``scheme_region`` and
@@ -551,6 +556,48 @@ class _Candidate:
     value: float
 
 
+def _slsqp(w, x0, lower, upper, rows, jacobian, ftol: float, maxiter: int, stop=None):
+    """Minimize -w . x subject to rows(x) >= 0 and lower <= x <= upper with
+    SLSQP (Kraft, DFVLR-FB 88-28, 1988): scipy's compiled kernel, driven by
+    the reverse-communication loop of scipy's ``_minimize_slsqp`` for this
+    problem shape, with the same float operations and callback calls in the
+    same order.  ``stop(fx)`` is called once per major iteration and ends
+    the solve when it returns True.  Returns the last point and whether the
+    kernel reports success (exit mode 0)."""
+    from scipy.optimize._slsqplib import slsqp
+
+    x = np.clip(x0, lower, upper)
+    # the kernel reads an infinite bound as NaN
+    xl, xu = (np.where(np.isfinite(b), b, np.nan) for b in (lower, upper))
+    m, n = len(rows(x)), len(x)
+    state = {"acc": ftol, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0,
+             "h3": 0.0, "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10.0 * ftol, "exact": 0,
+             "inconsistent": 0, "reset": 0, "iter": 0, "itermax": maxiter, "line": 0,
+             "m": m, "meq": 0, "mode": 0, "n": n}
+    buffer = np.zeros(n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28)
+    indices = np.zeros(m + 2 * n + 2, dtype=np.int32)
+    mult = np.zeros(m + 2 * n + 2)
+    fx, g = -float(w @ x), -w
+    C = np.zeros((m, n), order="F")
+    d = np.zeros(m)
+    C[:] = jacobian(x)
+    d[:] = rows(x)
+    iterations = 0
+    while True:
+        slsqp(state, fx, g, C, d, x, mult, xl, xu, buffer, indices)
+        if state["mode"] == 1:
+            fx = -float(w @ x)
+            d[:] = rows(x)
+        if state["mode"] == -1:
+            C[:] = jacobian(x)
+        if state["iter"] > iterations and stop is not None and stop(fx):
+            break
+        if abs(state["mode"]) != 1:
+            break
+        iterations = state["iter"]
+    return x, state["mode"] == 0
+
+
 class _Solver:
     """The concave programs of one scheme and one direction with mu1 >= mu2."""
 
@@ -650,11 +697,9 @@ class _Solver:
     # -- solves ----------------------------------------------------------
 
     def minimize(self, model, z, weights, kind):
-        """One SLSQP solve from z that maximizes weights . R.  A _POLISH solve
-        stops once _STALL iterations in a row fail to lower its best
-        objective."""
-        from scipy.optimize import minimize as _scipy_minimize
-
+        """One SLSQP solve from z that maximizes weights . R: the solver's
+        last point and whether SLSQP reports success.  A _POLISH solve stops
+        once _STALL iterations in a row fail to lower its best objective."""
         caps, grad = model
         # each coherent energy W of a pair (x, y) stays under sqrt(x y):
         # (x y - W^2) / (p1 p2) >= 0
@@ -690,33 +735,29 @@ class _Solver:
         # SLSQP gets there promises gains that no step delivers
         lengths = (z[0], z[1], 1.0 - z[0] - z[1])
         budgets = (self.budget.p1, self.budget.p2)
-        bounds = [(0.0, 1.0)] * 2 + [
-            (0.0, 0.0 if lengths[slot] <= _SLOT_FLOOR else budgets[user])
-            for slot, user in zip(self.family.slot_of, self.family.owner)] + [
-            (0.0, 0.0 if lengths[2] <= _SLOT_FLOOR else math.sqrt(norm))] * len(cw) + [
-            (0.0, self.rate_bound / self.scale)] * 2
+        upper = np.array([1.0, 1.0, *(
+            0.0 if lengths[slot] <= _SLOT_FLOOR else budgets[user]
+            for slot, user in zip(self.family.slot_of, self.family.owner))] + [
+            0.0 if lengths[2] <= _SLOT_FLOOR else math.sqrt(norm)] * len(cw) + [
+            self.rate_bound / self.scale] * 2)
         step, ftol = kind
         w = np.zeros(len(z))
         w[-2:] = weights
         w *= step
-        callback = None
+        stop = None
         if kind is _POLISH:
             # a polish starts at a solution, and its tolerance is below the
             # caps' resolution: past its best iterate it only meets rounding
             best, stalled = -float(w @ z), 0
 
-            def callback(intermediate_result):
+            def stop(fx):
                 nonlocal best, stalled
-                if intermediate_result.fun < best:
-                    best, stalled = intermediate_result.fun, 0
+                if fx < best:
+                    best, stalled = fx, 0
                 else:
                     stalled += 1
-                    if stalled >= _STALL:
-                        raise StopIteration
-        return _scipy_minimize(lambda z: -float(w @ z), z, jac=lambda z: -w, method="SLSQP",
-                               bounds=bounds, callback=callback,
-                               options={"ftol": ftol * step, "maxiter": _MAXITER},
-                               constraints={"type": "ineq", "fun": rows, "jac": jacobian})
+                return stalled >= _STALL
+        return _slsqp(w, z, np.zeros(len(z)), upper, rows, jacobian, ftol * step, _MAXITER, stop)
 
     def run(self, start: _Candidate, kind, restarts: int = 0, weights=None) -> _Candidate:
         """Maximize weights . R (by default mu . R) from a candidate, on the
@@ -727,12 +768,12 @@ class _Solver:
         model = self.model(z)
         best = start
         for _ in range(1 + restarts):
-            sol = self.minimize(model, z, self.mu if weights is None else weights, kind)
-            c = self.candidate(sol.x)
+            x, success = self.minimize(model, z, self.mu if weights is None else weights, kind)
+            c = self.candidate(x)
             gained = c.score > best.score
             if gained:
                 best = c
-            if sol.success or not gained:
+            if success or not gained:
                 break
             z = self.point(c)
         return best

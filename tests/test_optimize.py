@@ -27,6 +27,7 @@ from hdmac.gaussian import (
     df_region,
     pdf_gains,
 )
+from hdmac import optimize
 from hdmac.optimize import (
     SCHEMES,
     FrontierResult,
@@ -51,7 +52,9 @@ from hdmac.optimize import (
     _Solver,
     _Table,
     _energies,
+    _interior,
     _rebuild,
+    _slsqp,
     _unit_cube_allocation,
 )
 from hdmac.verify import verify_achievable_in_outer
@@ -471,41 +474,34 @@ class TestConcavePath:
 
     @pytest.mark.parametrize("scheme", ["OUTER", "PDF_PARTIAL"])
     def test_failed_solve_still_returns_a_feasible_exact_result(self, scheme, monkeypatch):
-        import scipy.optimize
+        failed = []
 
-        minimize = scipy.optimize.minimize
+        def failing(*args):
+            x, _ = _slsqp(*args)
+            failed.append(x)
+            return x, False
 
-        def failing(*args, **kwargs):
-            sol = minimize(*args, **kwargs)
-            if kwargs.get("method") == "SLSQP":
-                sol.success = False
-            return sol
-
-        monkeypatch.setattr(scipy.optimize, "minimize", failing)
+        monkeypatch.setattr(optimize, "_slsqp", failing)
         _checked(SYM, BUDGET, scheme, (0.8, 0.6))
+        assert failed
 
     @pytest.mark.parametrize("channel", sorted(PANEL))
     def test_polish_stops_once_it_stalls(self, channel, monkeypatch):
-        import scipy.optimize
-
-        minimize = scipy.optimize.minimize
         polishes = []
 
-        def recording(fun, x0, **kwargs):
+        def recording(w, x0, lower, upper, rows, jacobian, ftol, maxiter, stop=None):
             # each polish solve's objective at its start and at every iterate
-            if kwargs["options"]["ftol"] != _POLISH[0] * _POLISH[1]:
-                return minimize(fun, x0, **kwargs)
-            objectives = [fun(x0)]
+            if ftol != _POLISH[0] * _POLISH[1]:
+                return _slsqp(w, x0, lower, upper, rows, jacobian, ftol, maxiter, stop)
+            objectives = [-float(w @ x0)]
             polishes.append(objectives)
-            inner = kwargs.pop("callback", None)
 
-            def callback(intermediate_result):
-                objectives.append(intermediate_result.fun)
-                if inner is not None:
-                    inner(intermediate_result)
-            return minimize(fun, x0, callback=callback, **kwargs)
+            def recorded(fx):
+                objectives.append(fx)
+                return stop is not None and stop(fx)
+            return _slsqp(w, x0, lower, upper, rows, jacobian, ftol, maxiter, recorded)
 
-        monkeypatch.setattr(scipy.optimize, "minimize", recording)
+        monkeypatch.setattr(optimize, "_slsqp", recording)
         g, budget = PANEL[channel]
         for scheme in ("DF", "PDF_SEPARATE", "OUTER"):
             for mu in ((1.0, 0.0), (0.0, 1.0)):
@@ -519,23 +515,17 @@ class TestConcavePath:
     @pytest.mark.parametrize("kind", [_COLD, _POLISH], ids=["cold", "polish"])
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_evaluations_count_distinct_solver_points(self, scheme, kind, monkeypatch):
-        import scipy.optimize
-
-        minimize = scipy.optimize.minimize
         points = set()
 
-        def recording(*args, **kwargs):
-            cons = kwargs["constraints"]
-
+        def recording(w, x0, lower, upper, rows, jacobian, *args):
             def seen(f):
                 def wrapped(z):
                     points.add(z.tobytes())
                     return f(z)
                 return wrapped
-            kwargs["constraints"] = {**cons, "fun": seen(cons["fun"]), "jac": seen(cons["jac"])}
-            return minimize(*args, **kwargs)
+            return _slsqp(w, x0, lower, upper, seen(rows), seen(jacobian), *args)
 
-        monkeypatch.setattr(scipy.optimize, "minimize", recording)
+        monkeypatch.setattr(optimize, "_slsqp", recording)
         g, budget = PANEL["skewed"]
         rho = NoiseCorrelation(g.k10 / g.k12, g.k20 / g.k21)
         solver = _Solver(scheme, g, budget, rho, 1.0, 0.5)
@@ -610,17 +600,121 @@ class TestConcavePath:
             assert res.value == res.mu[0] * res.vertex[0] + res.mu[1] * res.vertex[1]
 
 
+def _minimize_slsqp(w, x0, lower, upper, rows, jacobian, ftol, maxiter, stop=None):
+    """``_slsqp``'s problem solved by the public ``scipy.optimize.minimize``."""
+    import scipy.optimize
+
+    def callback(intermediate_result):
+        if stop(intermediate_result.fun):
+            raise StopIteration
+    sol = scipy.optimize.minimize(
+        lambda x: -float(w @ x), x0, jac=lambda x: -w, method="SLSQP",
+        bounds=list(zip(lower, upper)), callback=None if stop is None else callback,
+        options={"ftol": ftol, "maxiter": maxiter},
+        constraints={"type": "ineq", "fun": rows, "jac": jacobian})
+    return sol.x, sol.success
+
+
+def _logged(solve, log):
+    """``solve`` (``_slsqp`` or ``_minimize_slsqp``) with every callback call
+    appended to ``log``: each constraint callback with its point, and the
+    stop callback with its objective and its answer."""
+    def run(w, x0, lower, upper, rows, jacobian, ftol, maxiter, stop=None):
+        def seen(name, f):
+            def wrapped(z):
+                log.append((name, z.tobytes()))
+                return f(z)
+            return wrapped
+
+        def stopped(fx):
+            halt = stop(fx)
+            log.append(("stop", fx, halt))
+            return halt
+        return solve(w, x0, lower, upper, seen("rows", rows), seen("jacobian", jacobian),
+                     ftol, maxiter, None if stop is None else stopped)
+    return run
+
+
+class TestSlsqp:
+    """``_slsqp`` drives scipy's compiled SLSQP kernel directly; the public
+    ``scipy.optimize.minimize`` on the same problem is its reference."""
+
+    @pytest.mark.parametrize("kind", [_COLD, _POLISH], ids=["cold", "polish"])
+    def test_solves_match_scipy_minimize(self, kind):
+        rho = NoiseCorrelation(0.3, -0.2)
+        stops = 0
+        for scheme in SCHEMES:
+            family = _PDF if scheme.startswith("PDF") else _DF
+            for channel in sorted(PANEL):
+                g, budget = PANEL[channel]
+                solver = _Solver(scheme, g, budget, rho, 1.0, 0.5)
+                x = _energies(_DF, *_interior(budget))
+                if family is _PDF:
+                    # own-slot power public, coherent energy split evenly
+                    a1, a2, e12, e21, e13, e23, es1, es2 = x
+                    x = [a1, a2, e12, 0.0, e21, 0.0, e13, e23, es1 / 2, es1 / 2, es2 / 2, es2 / 2]
+                start = solver.candidate(x)
+                if kind is _POLISH:
+                    # a polish starts near a solution
+                    start = solver.run(start, _COLD)
+                z = solver.point(start)
+                model = solver.model(z)
+                runs = []
+                for solve in (_slsqp, _minimize_slsqp):
+                    log = []
+                    before = solver.evaluations
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(optimize, "_slsqp", _logged(solve, log))
+                        x, success = solver.minimize(model, z, solver.mu, kind)
+                    runs.append((x.tobytes(), success, log, solver.evaluations - before))
+                assert runs[0] == runs[1], (scheme, channel)
+                assert len(runs[0][2]) > 2
+                stops += any(entry[0] == "stop" and entry[2] for entry in runs[0][2])
+        # the stall stop ends some polish solves
+        assert stops > 0 if kind is _POLISH else stops == 0
+
+    @pytest.mark.parametrize("halt_at", [None, 3])
+    def test_infinite_bounds_and_a_start_outside_them(self, halt_at):
+        w = np.array([1.0, 2.0, 0.5])
+        lower = np.array([-np.inf, 0.0, -np.inf])
+        upper = np.array([1.0, np.inf, np.inf])
+
+        def rows(x):
+            return np.array([1.0 - x @ x, x[0] + 0.5])
+
+        def jacobian(x):
+            return np.array([-2.0 * x, [1.0, 0.0, 0.0]])
+
+        runs = []
+        for solve in (_slsqp, _minimize_slsqp):
+            log, calls = [], []
+
+            def stop(fx):
+                calls.append(fx)
+                return len(calls) == halt_at
+            x, success = _logged(solve, log)(w, np.array([2.0, -1.0, 0.5]), lower, upper,
+                                             rows, jacobian, 1e-12, 100, stop)
+            runs.append((x.tobytes(), success, log))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == (halt_at is None)
+        if halt_at is None:
+            assert np.allclose(np.frombuffer(runs[0][0]), w / np.linalg.norm(w))
+
+
 def _callbacks(solver, model, z):
     """The constraint values and Jacobian callbacks that a solve from z hands
     to SLSQP, without running it."""
-    import scipy.optimize
+    captured = []
 
-    captured = {}
+    def capture(w, x0, lower, upper, rows, jacobian, *args):
+        captured.extend((rows, jacobian))
+        return x0, True
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scipy.optimize, "minimize",
-                   lambda fun, x0, **kwargs: captured.update(kwargs["constraints"]))
+        mp.setattr(optimize, "_slsqp", capture)
         solver.minimize(model, z, solver.mu, _COLD)
-    return captured["fun"], captured["jac"]
+    fun, jac = captured
+    return fun, jac
 
 
 def _reference_callbacks(solver, at):
