@@ -109,8 +109,8 @@ SCHEMES = PDF_SCHEMES + DF_SCHEMES
 class SearchConfig:
     """Optimizer settings as a scenario's ``search:`` block spells them.
 
-    Only ``seed`` has an effect: it seeds the random sampling of the verify
-    claims and is written to the ``# seed:`` header of the CLI outputs.  The
+    Only ``seed`` has an effect: it seeds verify's search for a strict gap
+    and is written to the ``# seed:`` header of the CLI outputs.  The
     optimizer has no knobs; ``slot_grid``, ``power_grid``, ``refine_iters``
     and ``refine_shrink`` are still validated, so that older scenario files
     keep parsing, but nothing reads them.
@@ -151,7 +151,6 @@ class FrontierResult:
     scheme: str
     points: Tuple[OptResult, ...]
     hull: RatePolygon
-    rho: Optional[NoiseCorrelation] = None   # the correlations it was traced at
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +448,7 @@ class _Table:
     SLOT_ROWS = np.array(((1.0, 0.0), (0.0, 1.0), (-1.0, -1.0)))   # d(a1, a2, a3)/d(a1, a2)
 
     def __init__(self, family: _Family, scheme: str, gains):
+        self.family, self.gains = family, gains
         n = len(family.slot_of)
         rows = np.eye(n + len(family.pairs))
         coherent = iter(rows[n:])
@@ -491,6 +491,65 @@ class _Table:
         """The terms' values at z and their Jacobian over (a1, a2, E)."""
         t = self.evaluate(z)
         return t.values, self.jacobian(t)
+
+
+def _scheme_table(scheme: str, g: ChannelGains, rho: Optional[NoiseCorrelation] = None) -> _Table:
+    """The named scheme's table on its family's kernel; ``rho`` is read by
+    DEGRADED only."""
+    if scheme in PDF_SCHEMES:
+        return _Table(_PDF, scheme, pdf_gains(g))
+    return _Table(_DF, scheme, df_gains(scheme, g, rho))
+
+
+def _dominates(outer: _Table, inner: _Table, delta: float = 0.0) -> dict:
+    """Prove, for every allocation at once, that the outer table's region
+    contains the inner one's: two tables of one family over the same energies.
+
+    Outer cap o bounds inner cap i of the same kind (R1, R2 or sum) when each
+    negative term of their difference is matched to a positive term of its
+    own with the same slot and noise and a K row elementwise at least the
+    negative term's, as a C(k E / (a N)) grows with k.  Every weight is 0 or
+    +-1, so this is a bipartite matching, found by augmenting paths.  With a
+    relative K tolerance delta the positive row times 1 + delta suffices, and
+    such a pair is off by at most a * 0.5 * log2(1 + delta), a <= 1.
+
+    Returns "caps", each outer cap's inner cap and (negative, positive) term
+    pairs, the outer table's terms numbered first; "refused", the first
+    outer cap bounding no inner cap, where caps stops, or None; and "bound",
+    the most by which a proven inner cap can exceed its outer cap."""
+    s, n = np.concatenate((outer.S, inner.S)), np.concatenate((outer.N, inner.N))
+    k = np.vstack((outer.K, inner.K))
+
+    def fits(neg, pos):
+        return s[neg] == s[pos] and n[neg] == n[pos] and (k[pos] * (1 + delta) >= k[neg]).all()
+
+    def match(diff):
+        positive = np.flatnonzero(diff > 0.0)
+        owner = {}      # positive term -> the negative term matched to it
+
+        def augment(neg, seen):
+            for pos in positive:
+                if pos not in seen and fits(neg, pos):
+                    seen.add(pos)
+                    if pos not in owner or augment(owner[pos], seen):
+                        owner[pos] = neg
+                        return True
+            return False
+        return (sorted((int(neg), int(pos)) for pos, neg in owner.items())
+                if all(augment(neg, set()) for neg in np.flatnonzero(diff < 0.0)) else None)
+
+    caps, bound = [], 0.0
+    for o, row in enumerate(outer.M):
+        for i in range(len(inner.M)):
+            pairs = match(np.concatenate((row, -inner.M[i]))) if min(i, 2) == min(o, 2) else None
+            if pairs is not None:
+                break
+        else:
+            return {"caps": caps, "refused": o, "bound": bound}
+        caps.append((i, pairs))
+        loose = sum(not (k[pos] >= k[neg]).all() for neg, pos in pairs)
+        bound = max(bound, loose * 0.5 * math.log1p(delta) / _LN2)
+    return {"caps": caps, "refused": None, "bound": bound}
 
 
 def _rebuild(family: _Family, scheme: str, z, budget: PowerBudget, shortest: float):
@@ -605,16 +664,13 @@ class _Solver:
                  rho: Optional[NoiseCorrelation], mu1: float, mu2: float):
         self.scheme, self.g, self.budget, self.rho = scheme, g, budget, rho
         self.mu = np.array([mu1, mu2])
-        if scheme in PDF_SCHEMES:
-            self.family, self.gains = _PDF, pdf_gains(g)
-        else:
-            self.family, self.gains = _DF, df_gains(scheme, g, rho)
-        self.table = _Table(self.family, scheme, self.gains)
+        self.table = _scheme_table(scheme, g, rho)
+        self.family = self.table.family
         self.scale = None
         self.evaluations = 0
         # every cap is a sum of at most four terms a * C(x / a) (PDF_PARTIAL
         # subtracts one), and no numerator exceeds gain * (p1 + p2) / a
-        e12, e21, k10, k20, noise = self.gains
+        e12, e21, k10, k20, noise = self.table.gains
         gain = (math.sqrt(e12) + math.sqrt(e21) + k10 + k20) ** 2
         self.rate_bound = 4.0 * c_gauss(gain * (budget.p1 + budget.p2) / noise)
         # solver columns of each coherent pair and of its coherent energy
@@ -869,4 +925,4 @@ def frontier(g: ChannelGains, budget: PowerBudget, scheme: str, weight_count: in
         mu = (math.cos(theta), math.sin(theta))
         results.append(optimize_scheme(g, budget, scheme, mu, cfg, rho=rho))
     hull = upper_hull([r.vertex for r in results])
-    return FrontierResult(scheme=scheme, points=tuple(results), hull=hull, rho=rho)
+    return FrontierResult(scheme=scheme, points=tuple(results), hull=hull)

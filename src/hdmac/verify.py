@@ -1,13 +1,17 @@
 """Executable verdicts for the structural claims about the Gaussian regions.
 
 Each verify_* operation checks one claim on a concrete scenario and returns
-a Verdict with a quantified worst slack and a replayable witness.  Claims
-about optimized regions check frontiers they are given, of the schemes
-they name and over the same weight directions; ``verify_claims`` traces
-each scheme's frontier once and checks every claim on them.  Hulls traced
-from finitely many directions are inner approximations, so claims that
-compare two regions' hulls also evaluate each region at the other scheme's
-optima.
+a Verdict with a quantified worst slack and a witness for ``replay_witness``.
+Four claims hold allocation by allocation: separate decoding inside joint
+decoding, decode-forward inside the outer bound, partial user decoding
+inside full decoding and the degraded outer bound equal to decode-forward.
+Their containments are proven for every allocation at once on the schemes'
+term tables (``optimize._dominates``).  The frontier equalities and DF's
+hull inside OUTER's stay optimizer checks on frontiers the claims are
+given, of the schemes they name and over the same weight directions;
+``verify_claims`` traces PDF_JOINT, DF, OUTER and PDF_PARTIAL once each.  A
+traced hull is an inner approximation, so DF's is compared with OUTER's
+hull widened by the outer region at DF's optima.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .core import (
     DfAllocation,
     PdfAllocation,
     PowerBudget,
-    RatePolygon,
     TimeSlots,
     ValidationError,
     _check,
@@ -31,16 +34,16 @@ from .core import (
 )
 from .gaussian import (
     NoiseCorrelation,
-    degraded_outer_region,
     df_region,
     gaussian_outer_region,
     pdf_joint_region,
-    pdf_partial_user_region,
     pdf_separate_region,
 )
 from .optimize import (
     FrontierResult,
     SearchConfig,
+    _dominates,
+    _scheme_table,
     frontier,
     optimize_scheme,
     point_slack,
@@ -56,7 +59,13 @@ CONTAIN_TOL = 1e-9
 HULL_TOL = 1e-6
 EXACT_TOL = 1e-12
 STRICT_GAP = 1e-6
-SAMPLES = 100            # random allocations per sampled claim
+SAMPLES = 100            # random allocations of joint_dominates_separate's strict-gap search
+_K_TOL = EXACT_TOL / 4   # for DEGRADED's rounded gains; a cap's <= 4 terms stay within EXACT_TOL
+# the containments each claim proves, as (outer, inner) scheme pairs
+_PROVEN = {"joint_dominates_separate": (("PDF_JOINT", "PDF_SEPARATE"),),
+           "achievable_in_outer": (("OUTER", "DF"),),
+           "degraded_capacity": (("DEGRADED", "DF"), ("DF", "DEGRADED")),
+           "full_vs_partial_user_decoding": (("PDF_JOINT", "PDF_PARTIAL"),)}
 # frontier and optimize_scheme still take a SearchConfig that has no effect;
 # this goes once perfbench stops passing one
 _CFG = SearchConfig()
@@ -70,6 +79,10 @@ class Verdict:
     that much); pass requires worst_slack >= -tolerance plus any secondary
     conditions recorded in details.  Inapplicable claims pass vacuously with
     applicable=False.
+
+    A containment proven on the term tables has as worst_slack the least
+    slack its proofs guarantee at any allocation (-inf if one is refused),
+    and as witness, under "proofs", each proof's two schemes and matching.
     """
 
     claim: str
@@ -117,42 +130,34 @@ def df_to_pdf_allocation(a: DfAllocation, empty: str) -> PdfAllocation:
                          c2=0.0, c3=0.0, d2=0.0, d3=0.0)
 
 
-def _cross(region, points) -> list:
-    """Best vertex of region(slots, allocation) at each optimum's direction."""
-    return [weighted_best_vertex(polygon_from_constraints(region(r.slots, r.allocation)),
-                                 r.mu)[0] for r in points]
-
-
-def _containment_slack(outer, inner) -> float:
-    """Slack of inner's polygon inside outer's (negative: it sticks out)."""
-    return region_contains(polygon_from_constraints(outer), polygon_from_constraints(inner),
-                           CONTAIN_TOL)[1]
-
-
-def _degraded_gap(g: ChannelGains, slots: TimeSlots, alloc: DfAllocation,
-                  rho: NoiseCorrelation) -> float:
-    """Largest difference between a DEGRADED cap and the DF cap it equals
-    under the degraded noise correlations."""
-    rd = df_region(g, slots, alloc)
-    ro = degraded_outer_region(g, slots, alloc, rho)
-    return max(abs(ro.min_r1 - rd.min_r1), abs(ro.min_r2 - rd.min_r2),
-               abs(ro.sum_bounds[0] - rd.sum_bounds[0]),
-               abs(ro.sum_bounds[1] - rd.sum_bounds[3]))
-
-
 def degraded_rho(g: ChannelGains) -> Optional[NoiseCorrelation]:
     """Noise correlations (K10/K12, K20/K21) under which the DEGRADED bound
-    collapses onto DF, or None unless K12 > K10 and K21 > K20."""
+    collapses onto DF, or None unless K12 > K10 and K21 > K20.  The rule is
+    strict, unlike partial decoding's, because at K12 = K10 the correlation
+    is 1, where DEGRADED's gains are singular."""
     if g.k12 > g.k10 and g.k21 > g.k20:
         return NoiseCorrelation(g.k10 / g.k12, g.k20 / g.k21)
     return None
+
+
+def _prove(claim: str, g: ChannelGains):
+    """The least slack the claim's containments guarantee at any allocation
+    (-inf if a proof is refused) and the witness that holds the proofs."""
+    rho = degraded_rho(g)       # read by DEGRADED only
+    delta = _K_TOL if claim == "degraded_capacity" else 0.0
+    proofs = [{"outer": outer, "inner": inner, "delta": delta,
+               **_dominates(_scheme_table(outer, g, rho), _scheme_table(inner, g, rho), delta)}
+              for outer, inner in _PROVEN[claim]]
+    # 0.0 - bound: an exact proof's slack reads 0, not -0
+    worst = min(-math.inf if p["refused"] is not None else 0.0 - p["bound"] for p in proofs)
+    return worst, {"proofs": proofs}
 
 
 def _check_frontiers(claim: str, **given: FrontierResult) -> None:
     """Each frontier argument, named fr_<scheme>, is of the scheme the claim
     expects, and all were traced over the same weight directions."""
     want = {"fr_pdf": "PDF_JOINT", "fr_full": "PDF_JOINT", "fr_part": "PDF_PARTIAL",
-            "fr_df": "DF", "fr_out": "OUTER", "fr_deg": "DEGRADED"}
+            "fr_df": "DF", "fr_out": "OUTER"}
     for name, fr in given.items():
         _check(isinstance(fr, FrontierResult) and fr.scheme == want[name],
                f"{claim}: {name} must be a frontier of scheme {want[name]}, got "
@@ -160,12 +165,6 @@ def _check_frontiers(claim: str, **given: FrontierResult) -> None:
     mus = [[r.mu for r in fr.points] for fr in given.values()]
     _check(all(m == mus[0] for m in mus),
            f"{claim}: {' and '.join(given)} were traced over different weight directions")
-
-
-# the claims whose witness is one allocation, checked as full decoding's
-# polygon containing the other scheme's
-_INNER = {"joint_dominates_separate": pdf_separate_region,
-          "full_vs_partial_user_decoding": pdf_partial_user_region}
 
 
 def _region_vertex_slack(region, vertex) -> float:
@@ -249,29 +248,23 @@ def verify_pdf_df_equivalence(g: ChannelGains, fr_pdf: FrontierResult,
 
 def verify_joint_dominates_separate(g: ChannelGains, budget: PowerBudget,
                                     samples: int, seed: int) -> Verdict:
-    """Separate decoding's polygon sits inside joint decoding's on every
-    sampled feasible allocation, with a strictly positive gap somewhere when
-    the inter-user links beat the direct links."""
-    rng = random.Random(seed)
-    worst = math.inf
-    witness = None
+    """Separate decoding's region sits inside joint decoding's at every
+    allocation, proven on the term tables.  Where an inter-user link beats
+    its direct link, some of ``samples`` seeded random allocations must also
+    show a strictly positive gap between the two schemes' sum caps."""
+    worst, witness = _prove("joint_dominates_separate", g)
     strict_gap = 0.0
     saw_public = False
-    for _ in range(samples):
-        slots, alloc = sample_allocation("PDF_JOINT", g, budget, rng)
-        rj = pdf_joint_region(g, slots, alloc)
-        rs = pdf_separate_region(g, slots, alloc)
-        slack = _containment_slack(rj, rs)
-        if slack < worst:
-            worst = slack
-            witness = {"slots": _slots_dict(slots), "allocation": asdict(alloc)}
-        if alloc.pu > 1e-12 or alloc.pv > 1e-12:
-            saw_public = True
-        gap = max(j - s for j, s in zip(rj.sum_bounds, rs.sum_bounds))
-        strict_gap = max(strict_gap, gap)
+    if g.k12 > g.k10 or g.k21 > g.k20:
+        rng = random.Random(seed)
+        for _ in range(samples):
+            slots, alloc = sample_allocation("PDF_JOINT", g, budget, rng)
+            rj = pdf_joint_region(g, slots, alloc)
+            rs = pdf_separate_region(g, slots, alloc)
+            saw_public = saw_public or alloc.pu > 1e-12 or alloc.pv > 1e-12
+            strict_gap = max(strict_gap, *(j - s for j, s in zip(rj.sum_bounds, rs.sum_bounds)))
 
-    strict_applicable = (g.k12 > g.k10 or g.k21 > g.k20) and saw_public
-    passed = worst >= -CONTAIN_TOL and (not strict_applicable or strict_gap > STRICT_GAP)
+    passed = worst >= -CONTAIN_TOL and (not saw_public or strict_gap > STRICT_GAP)
     return Verdict(
         claim="joint_dominates_separate",
         passed=passed,
@@ -279,115 +272,77 @@ def verify_joint_dominates_separate(g: ChannelGains, budget: PowerBudget,
         tolerance=CONTAIN_TOL,
         witness=witness,
         details={"samples": samples, "max_bound_gap": strict_gap,
-                 "strictness_checked": strict_applicable},
+                 "strictness_checked": saw_public},
     )
 
 
 def verify_achievable_in_outer(g: ChannelGains, budget: PowerBudget, fr_df: FrontierResult,
                                fr_out: FrontierResult) -> Verdict:
-    """The DF frontier's hull sits inside the OUTER frontier's; also reports
-    the equal-weight sum-rate gap between the two schemes."""
+    """The outer region contains the decode-forward region at every
+    allocation, proven on the term tables, and the DF frontier's hull sits
+    inside the OUTER frontier's; also reports the equal-weight sum-rate gap
+    between the two schemes."""
     _check_frontiers("achievable_in_outer", fr_df=fr_df, fr_out=fr_out)
+    worst, witness = _prove("achievable_in_outer", g)
     # the outer region at each decode-forward optimum covers that optimum's
     # vertex; the sampled outer hull alone is an inner approximation that can
     # miss it
-    cross = _cross(lambda s, a: gaussian_outer_region(g, s, a), fr_df.points)
+    cross = [weighted_best_vertex(polygon_from_constraints(
+        gaussian_outer_region(g, r.slots, r.allocation)), r.mu)[0] for r in fr_df.points]
     hull_out = upper_hull([r.vertex for r in fr_out.points] + cross)
-    ok, worst = region_contains(hull_out, fr_df.hull, HULL_TOL)
+    ok, hull_slack = region_contains(hull_out, fr_df.hull, HULL_TOL)
 
     r_df = optimize_scheme(g, budget, "DF", (1.0, 1.0), _CFG)
     r_out = optimize_scheme(g, budget, "OUTER", (1.0, 1.0), _CFG)
     gap = r_out.value - r_df.value
-    witness = {
-        "df_hull": [list(v) for v in fr_df.hull.vertices],
-        "outer_hull": [list(v) for v in hull_out.vertices],
-    }
     return Verdict(
         claim="achievable_in_outer",
-        passed=ok,
+        passed=worst >= -CONTAIN_TOL and ok,
         worst_slack=worst,
-        tolerance=HULL_TOL,
+        tolerance=CONTAIN_TOL,
         witness=witness,
-        details={"sum_rate_gap": gap},
+        details={"sum_rate_gap": gap, "hull_slack": hull_slack, "hull_tolerance": HULL_TOL},
     )
 
 
-def verify_degraded_capacity(g: ChannelGains, budget: PowerBudget, fr_df: FrontierResult,
-                             fr_deg: Optional[FrontierResult], seed: int) -> Verdict:
+def verify_degraded_capacity(g: ChannelGains) -> Verdict:
     """With the noise correlations of ``degraded_rho`` the correlated-noise
-    outer bound collapses onto the decode-forward region, bound by bound on
-    seeded random allocations and as the hulls of the DF and DEGRADED
-    frontiers.  A DEGRADED frontier traced at other correlations is a
-    ValidationError.  Where ``degraded_rho`` is None the claim does not apply
-    and neither frontier is read."""
-    rho = degraded_rho(g)
-    if rho is None:
+    outer bound equals the decode-forward region at every allocation, so
+    their frontiers coincide: each contains the other, proven on the term
+    tables with a K tolerance for df_gains' rounding of DEGRADED's gains.
+    Where ``degraded_rho`` is None the claim does not apply."""
+    if degraded_rho(g) is None:
         return Verdict(claim="degraded_capacity", passed=True, worst_slack=math.inf,
                        tolerance=EXACT_TOL, witness=None, applicable=False,
                        details={"reason": "requires k12 > k10 and k21 > k20"})
-    _check_frontiers("degraded_capacity", fr_df=fr_df, fr_deg=fr_deg)
-    _check(fr_deg.rho == rho, f"degraded_capacity: fr_deg was traced at {fr_deg.rho!r}, "
-                              f"not at degraded_rho(g) = {rho!r}")
-    rng = random.Random(seed)
-    max_diff = 0.0
-    witness = None
-    for _ in range(SAMPLES):
-        slots, alloc = sample_allocation("DF", g, budget, rng)
-        diff = _degraded_gap(g, slots, alloc, rho)
-        if diff >= max_diff:
-            max_diff = diff
-            witness = {"slots": _slots_dict(slots), "allocation": asdict(alloc),
-                       "rho1": rho.rho1, "rho2": rho.rho2}
-
-    # evaluate each frontier's optima under the other region so both hulls
-    # cover the union of evaluated allocations; any pointwise difference
-    # between the regions would surface here
-    cross_df = _cross(lambda s, a: df_region(g, s, a), fr_deg.points)
-    cross_deg = _cross(lambda s, a: degraded_outer_region(g, s, a, rho), fr_df.points)
-    hull_df = upper_hull([r.vertex for r in fr_df.points] + cross_df)
-    hull_deg = upper_hull([r.vertex for r in fr_deg.points] + cross_deg)
-    ok1, s1 = region_contains(hull_df, hull_deg, HULL_TOL)
-    ok2, s2 = region_contains(hull_deg, hull_df, HULL_TOL)
-
-    passed = max_diff <= EXACT_TOL and ok1 and ok2
+    worst, witness = _prove("degraded_capacity", g)
     return Verdict(
         claim="degraded_capacity",
-        passed=passed,
-        worst_slack=-max_diff,
+        passed=worst >= -EXACT_TOL,
+        worst_slack=worst,
         tolerance=EXACT_TOL,
         witness=witness,
-        details={"samples": SAMPLES, "hull_slack": min(s1, s2),
-                 "hull_tolerance": HULL_TOL},
     )
 
 
-def verify_full_vs_partial_user_decoding(g: ChannelGains, budget: PowerBudget,
-                                         fr_full: FrontierResult, fr_part: FrontierResult,
-                                         seed: int) -> Verdict:
-    """Full decoding at each user dominates partial decoding at seeded random
-    allocations with slot-1/2 private power (when the inter-user links are
-    stronger), while the PDF_JOINT and PDF_PARTIAL frontiers coincide."""
+def verify_full_vs_partial_user_decoding(g: ChannelGains, fr_full: FrontierResult,
+                                         fr_part: FrontierResult) -> Verdict:
+    """Full decoding at each user contains partial decoding at every
+    allocation where K12 >= K10 and K21 >= K20, proven on the term tables,
+    while the PDF_JOINT and PDF_PARTIAL frontiers coincide.  The proof needs
+    only >=: partial decoding credits the private power P10 with K10 in
+    place of K12.  Elsewhere the containment is not checked."""
     _check_frontiers("full_vs_partial_user_decoding", fr_full=fr_full, fr_part=fr_part)
-    rng = random.Random(seed)
-    worst = math.inf
-    witness = None
-    containment_applicable = g.k12 > g.k10 and g.k21 > g.k20
-    if containment_applicable:
-        for _ in range(SAMPLES):
-            slots, alloc = sample_allocation("PDF_JOINT", g, budget, rng, interior=True)
-            slack = _containment_slack(pdf_joint_region(g, slots, alloc),
-                                       pdf_partial_user_region(g, slots, alloc))
-            if slack < worst:
-                worst = slack
-                witness = {"slots": _slots_dict(slots), "allocation": asdict(alloc)}
+    containment_applicable = g.k12 >= g.k10 and g.k21 >= g.k20
+    worst, witness = (_prove("full_vs_partial_user_decoding", g) if containment_applicable
+                      else (math.inf, None))
 
     max_gap = max(abs(a.value - b.value) for a, b in zip(fr_full.points, fr_part.points))
 
-    passed = (not containment_applicable or worst >= -CONTAIN_TOL) and max_gap <= FRONTIER_TOL
     return Verdict(
         claim="full_vs_partial_user_decoding",
-        passed=passed,
-        worst_slack=worst if containment_applicable else math.inf,
+        passed=worst >= -CONTAIN_TOL and max_gap <= FRONTIER_TOL,
+        worst_slack=worst,
         tolerance=CONTAIN_TOL,
         witness=witness,
         details={"max_frontier_gap": max_gap,
@@ -397,42 +352,29 @@ def verify_full_vs_partial_user_decoding(g: ChannelGains, budget: PowerBudget,
 
 def verify_claims(g: ChannelGains, budget: PowerBudget, weight_count: int,
                   seed: int) -> List[Verdict]:
-    """Every claim on one scenario, each scheme's frontier traced once over
-    ``weight_count`` directions: pdf_df_equivalence, joint_dominates_separate,
-    achievable_in_outer, degraded_capacity and full_vs_partial_user_decoding,
-    in that order.  DEGRADED is traced only where ``degraded_rho`` applies."""
+    """Every claim on one scenario, each of PDF_JOINT, DF, OUTER and
+    PDF_PARTIAL traced once over ``weight_count`` directions:
+    pdf_df_equivalence, joint_dominates_separate, achievable_in_outer,
+    degraded_capacity and full_vs_partial_user_decoding, in that order."""
     fr = {scheme: frontier(g, budget, scheme, weight_count, _CFG)
           for scheme in ("PDF_JOINT", "DF", "OUTER", "PDF_PARTIAL")}
-    rho = degraded_rho(g)
-    fr_deg = None if rho is None else frontier(g, budget, "DEGRADED", weight_count, _CFG,
-                                               rho=rho)
     return [
         verify_pdf_df_equivalence(g, fr["PDF_JOINT"], fr["DF"]),
         verify_joint_dominates_separate(g, budget, SAMPLES, seed),
         verify_achievable_in_outer(g, budget, fr["DF"], fr["OUTER"]),
-        verify_degraded_capacity(g, budget, fr["DF"], fr_deg, seed),
-        verify_full_vs_partial_user_decoding(g, budget, fr["PDF_JOINT"], fr["PDF_PARTIAL"], seed),
+        verify_degraded_capacity(g),
+        verify_full_vs_partial_user_decoding(g, fr["PDF_JOINT"], fr["PDF_PARTIAL"]),
     ]
 
 
 def replay_witness(verdict: Verdict, g: ChannelGains, budget: PowerBudget) -> float:
-    """Recompute a verdict's worst slack from its witness."""
+    """Recompute a verdict's worst slack: a proven containment by running
+    its proofs again, the frontier equivalence from its witness."""
     w = verdict.witness
     if w is None:
         raise ValidationError(f"verdict {verdict.claim!r} carries no witness")
-    if verdict.claim in _INNER:
-        slots = _slots_from(w["slots"])
-        alloc = PdfAllocation(**w["allocation"])
-        return _containment_slack(pdf_joint_region(g, slots, alloc),
-                                  _INNER[verdict.claim](g, slots, alloc))
-    if verdict.claim == "degraded_capacity":
-        return -_degraded_gap(g, _slots_from(w["slots"]), DfAllocation(**w["allocation"]),
-                              NoiseCorrelation(w["rho1"], w["rho2"]))
-    if verdict.claim == "achievable_in_outer":
-        outer_hull = RatePolygon(tuple((x, y) for x, y in w["outer_hull"]))
-        df_hull = RatePolygon(tuple((x, y) for x, y in w["df_hull"]))
-        _, slack = region_contains(outer_hull, df_hull, HULL_TOL)
-        return slack
+    if verdict.claim in _PROVEN:
+        return _prove(verdict.claim, g)[0]
     if verdict.claim == "pdf_df_equivalence":
         mu = tuple(w["mu"])
         _, pdf_value = weighted_best_vertex(polygon_from_constraints(pdf_joint_region(

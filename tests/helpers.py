@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from hdmac.core import TimeSlots
+from hdmac.core import ChannelGains, PowerBudget, TimeSlots
 from hdmac.dmc import (
     DfInputDistribution,
     OuterInputDistribution,
@@ -22,6 +22,16 @@ from hdmac.dmc import (
 )
 from hdmac.muser import MUserAllocation, MUserGains
 from hdmac.muser import power_used as muser_power_used
+
+# The benchmark's channel panel.  asym_witness is the channel on which OUTER
+# at theta = 0.30 once fell short of a known feasible point; skewed has unequal
+# links and budgets; dead_coop has k12 < k10, so user 1's cooperation is useless.
+PANEL = {
+    "symmetric_k2": (ChannelGains(2.0, 2.0, 1.0, 1.0, 1.0), PowerBudget(2.0, 2.0)),
+    "asym_witness": (ChannelGains(0.5, 0.5, 1.0, 1.0, 1.0), PowerBudget(2.0, 3.0)),
+    "skewed": (ChannelGains(3.0, 1.5, 1.0, 0.5, 1.0), PowerBudget(1.0, 4.0)),
+    "dead_coop": (ChannelGains(0.5, 2.0, 1.0, 1.0, 1.0), PowerBudget(2.0, 2.0)),
+}
 
 
 def naive_conditional_mi(joint, a_axes, b_axes, c_axes=()):

@@ -224,13 +224,17 @@ def test_criterion_6_degraded_capacity():
                            abs(ro.sum_bounds[1] - rd.sum_bounds[3]))
         fr_df = frontier(g, BUDGET, "DF", 9, CFG)
         fr_deg = frontier(g, BUDGET, "DEGRADED", 9, CFG, rho=rho)
-        verdict = verify_degraded_capacity(g, BUDGET, fr_df, fr_deg, CFG.seed)
-        ok = max_diff <= 1e-12 and verdict.passed and verdict.applicable
-        hull_slack = verdict.details["hull_slack"]
+        # each hull inside the other
+        hull_slack = min(region_contains(a.hull, b.hull, 1e-6)[1]
+                         for a, b in ((fr_df, fr_deg), (fr_deg, fr_df)))
+        verdict = verify_degraded_capacity(g)
+        ok = (max_diff <= 1e-12 and hull_slack >= -1e-6
+              and verdict.passed and verdict.applicable)
     _report(6, f"matched noise correlation collapses the outer bound onto DF "
                f"(max bound diff {max_diff:.1e}, hull slack {hull_slack:.1e})",
             ok and t.elapsed < limit, t.elapsed, limit)
     assert max_diff <= 1e-12
+    assert hull_slack >= -1e-6
     assert verdict.passed
     assert t.elapsed < limit
 

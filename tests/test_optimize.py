@@ -54,10 +54,12 @@ from hdmac.optimize import (
     _energies,
     _interior,
     _rebuild,
+    _scheme_table,
     _slsqp,
     _unit_cube_allocation,
 )
 from hdmac.verify import verify_achievable_in_outer
+from helpers import PANEL
 
 SYM = ChannelGains(2.0, 2.0, 1.0, 1.0, 1.0)
 BUDGET = PowerBudget(2.0, 2.0)
@@ -297,12 +299,6 @@ def _concave_cases(draw):
 # panel of the benchmark at PANEL_THETAS; every value found now must reach
 # them.  DEGRADED runs where both inter-user links beat the direct ones, at
 # rho = (K10/K12, K20/K21).
-PANEL = {
-    "symmetric_k2": (ChannelGains(2.0, 2.0, 1.0, 1.0, 1.0), PowerBudget(2.0, 2.0)),
-    "asym_witness": (ChannelGains(0.5, 0.5, 1.0, 1.0, 1.0), PowerBudget(2.0, 3.0)),
-    "skewed": (SKEWED, SKEWED_BUDGET),
-    "dead_coop": (ChannelGains(0.5, 2.0, 1.0, 1.0, 1.0), PowerBudget(2.0, 2.0)),
-}
 PANEL_THETAS = (0.0, 0.3, math.pi / 8, math.pi / 4, 1.2, math.pi / 2)
 SEARCH_FLOORS = {
     ("symmetric_k2", "PDF_JOINT"): (
@@ -529,7 +525,7 @@ class TestConcavePath:
         g, budget = PANEL["skewed"]
         rho = NoiseCorrelation(g.k10 / g.k12, g.k20 / g.k21)
         solver = _Solver(scheme, g, budget, rho, 1.0, 0.5)
-        family = _PDF if scheme.startswith("PDF") else _DF
+        family = solver.family
         start = solver.candidate(_energies(family, *sample_allocation(
             scheme, g, budget, random.Random(3), interior=True)))
         z = solver.point(start)
@@ -574,7 +570,7 @@ class TestConcavePath:
         g, budget = PANEL["skewed"]
         rho = NoiseCorrelation(g.k10 / g.k12, g.k20 / g.k21)
         solver = _Solver(scheme, g, budget, rho, 1.0, 0.5)
-        family = _PDF if scheme.startswith("PDF") else _DF
+        family = solver.family
         start = solver.candidate(_energies(family, *sample_allocation(
             scheme, g, budget, random.Random(3), interior=True)))
         z = solver.point(start)
@@ -790,10 +786,7 @@ def _assert_gradients(scheme, gains, family, z, h=1e-6):
 
 
 def _table_case(scheme, k, noise, rho):
-    family = _PDF if scheme.startswith("PDF") else _DF
-    g = ChannelGains(*k, noise=noise)
-    gains = pdf_gains(g) if family is _PDF else df_gains(scheme, g, NoiseCorrelation(*rho))
-    return family, gains
+    return _scheme_table(scheme, ChannelGains(*k, noise=noise), NoiseCorrelation(*rho))
 
 
 class TestTable:
@@ -803,16 +796,16 @@ class TestTable:
            st.tuples(_slot_weight, _slot_weight, _slot_weight),
            st.lists(st.floats(0.0, 5.0), min_size=12, max_size=12))
     def test_table_matches_the_checked_kernel(self, scheme, k, noise, rho, w, e):
-        family, gains = _table_case(scheme, k, noise, rho)
+        table = _table_case(scheme, k, noise, rho)
+        family = table.family
         total = sum(w) or 1.0
         a1, a2 = w[0] / total, w[1] / total
         # an empty slot holds no energy; each coherent energy sits on its cone
         energies = [v if w[s] > 0.0 else 0.0 for v, s in zip(e, family.slot_of)]
         coherent = [math.sqrt(energies[i] * energies[j]) for i, j, _ in family.pairs]
         z = np.array([a1, a2, *energies, *coherent])
-        table = _Table(family, scheme, gains)
         values, _ = table.terms(z)
-        want = _kernel_caps(scheme, gains, family, z)
+        want = _kernel_caps(scheme, table.gains, family, z)
         assert np.allclose(table.M @ values, want, rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=300, deadline=None)
@@ -822,10 +815,10 @@ class TestTable:
            st.lists(st.floats(-1.0, 5.0), min_size=14, max_size=14))
     def test_values_are_the_terms_bit_for_bit(self, scheme, k, noise, rho, w, e):
         # any point SLSQP may pass: empty slots, energies below 0 or off the cone
-        family, gains = _table_case(scheme, k, noise, rho)
+        table = _table_case(scheme, k, noise, rho)
+        family = table.family
         total = sum(w) or 1.0
         z = np.array([w[0] / total, w[1] / total, *e[:len(family.slot_of) + len(family.pairs)]])
-        table = _Table(family, scheme, gains)
         values = table.evaluate(z).values
         assert values.tobytes() == table.terms(z)[0].tobytes()
         # and the operations, in their order, of the formula a_S C(K E / (a_S N))
@@ -836,8 +829,8 @@ class TestTable:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_only_partial_decoding_subtracts(self, scheme):
         k, noise = (0.7, 1.9, 1.3, 0.4), 1.1
-        family, gains = _table_case(scheme, k, noise, (0.3, -0.2))
-        table = _Table(family, scheme, gains)
+        table = _table_case(scheme, k, noise, (0.3, -0.2))
+        family = table.family
         slot_of = np.array(family.slot_of + (2,) * len(family.pairs))
         # every term's numerator lies in the term's own slot
         for s, row in zip(table.S, table.K):

@@ -1,23 +1,44 @@
 import dataclasses
 import functools
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hdmac.core import ChannelGains, PowerBudget, ValidationError, power_used
-from hdmac.gaussian import NoiseCorrelation, df_region, pdf_joint_region
-from hdmac.optimize import SearchConfig, frontier, sample_allocation
+from hdmac.core import (
+    ChannelGains,
+    PowerBudget,
+    ValidationError,
+    polygon_from_constraints,
+    power_used,
+)
+from hdmac.gaussian import NoiseCorrelation, df_region, pdf_joint_region, scheme_caps_region
+from hdmac.optimize import (
+    SearchConfig,
+    _dominates,
+    _scheme_table,
+    frontier,
+    region_contains,
+    sample_allocation,
+)
 from hdmac.verify import (
+    EXACT_TOL,
+    _K_TOL,
+    _prove,
     degraded_rho,
     df_to_pdf_allocation,
     pdf_to_df_allocation,
     replay_witness,
     verify_achievable_in_outer,
+    verify_claims,
     verify_degraded_capacity,
     verify_full_vs_partial_user_decoding,
     verify_joint_dominates_separate,
     verify_pdf_df_equivalence,
 )
+from helpers import PANEL
 
 SYM = ChannelGains(2.0, 2.0, 1.0, 1.0, 1.0)
 SKEWED = ChannelGains(2.2, 1.0, 0.7, 1.3, 1.0)
@@ -113,8 +134,7 @@ class TestVerdicts:
         assert slack == pytest.approx(v.worst_slack, abs=1e-12)
 
     def test_degraded_capacity_passes_and_replays(self):
-        v = verify_degraded_capacity(SYM, BUDGET, traced(SYM, "DF"), traced(SYM, "DEGRADED"),
-                                     seed=0)
+        v = verify_degraded_capacity(SYM)
         assert v.applicable and v.passed
         assert v.worst_slack >= -1e-12
         slack = replay_witness(v, SYM, BUDGET)
@@ -123,18 +143,25 @@ class TestVerdicts:
     def test_degraded_not_applicable_when_links_equal(self):
         g = ChannelGains(1.0, 1.0, 1.0, 1.0, 1.0)
         assert degraded_rho(g) is None
-        # where the claim does not apply no frontier is read
-        v = verify_degraded_capacity(g, BUDGET, None, None, seed=0)
+        v = verify_degraded_capacity(g)
         assert not v.applicable
         assert v.passed
 
     def test_full_vs_partial_passes(self):
-        v = verify_full_vs_partial_user_decoding(SYM, BUDGET, traced(SYM, "PDF_JOINT"),
-                                                 traced(SYM, "PDF_PARTIAL"), seed=0)
+        v = verify_full_vs_partial_user_decoding(SYM, traced(SYM, "PDF_JOINT"),
+                                                 traced(SYM, "PDF_PARTIAL"))
         assert v.passed
         assert v.details["max_frontier_gap"] <= 1e-3
         slack = replay_witness(v, SYM, BUDGET)
         assert slack == pytest.approx(v.worst_slack, abs=1e-12)
+
+    def test_full_vs_partial_checks_equal_links(self):
+        # the proof needs only k12 >= k10 and k21 >= k20
+        g = ChannelGains(1.0, 1.0, 1.0, 1.0, 1.0)
+        v = verify_full_vs_partial_user_decoding(g, traced(g, "PDF_JOINT"),
+                                                 traced(g, "PDF_PARTIAL"))
+        assert v.passed and v.details["containment_checked"]
+        assert v.worst_slack == 0.0
 
     def test_equivalence_passes_fast_config(self):
         v = verify_pdf_df_equivalence(SYM, traced(SYM, "PDF_JOINT"), traced(SYM, "DF"))
@@ -187,7 +214,7 @@ class TestDegradedRho:
                              ids=["k12_equal", "k21_equal", "k12_weaker", "dead"])
     def test_none_unless_both_links_are_stronger(self, g):
         assert degraded_rho(g) is None
-        v = verify_degraded_capacity(g, BUDGET, None, None, seed=0)
+        v = verify_degraded_capacity(g)
         assert not v.applicable and v.passed
 
 
@@ -198,12 +225,10 @@ class TestFrontierArguments:
         (verify_achievable_in_outer,
          lambda: (SYM, BUDGET, traced(SYM, "DF"), traced(SYM, "DEGRADED")),
          "fr_out must be a frontier of scheme OUTER, got 'DEGRADED'"),
-        (verify_degraded_capacity, lambda: (SYM, BUDGET, traced(SYM, "DF"), None, 0),
-         "fr_deg must be a frontier of scheme DEGRADED, got None"),
         (verify_full_vs_partial_user_decoding,
-         lambda: (SYM, BUDGET, traced(SYM, "PDF_PARTIAL"), traced(SYM, "PDF_PARTIAL"), 0),
+         lambda: (SYM, traced(SYM, "PDF_PARTIAL"), traced(SYM, "PDF_PARTIAL")),
          "fr_full must be a frontier of scheme PDF_JOINT, got 'PDF_PARTIAL'"),
-    ], ids=["equivalence", "outer", "degraded", "partial"])
+    ], ids=["equivalence", "outer", "partial"])
     def test_wrong_scheme_rejected(self, claim, args, name):
         with pytest.raises(ValidationError, match=name):
             claim(*args())
@@ -213,21 +238,94 @@ class TestFrontierArguments:
          lambda: (SYM, traced(SYM, "PDF_JOINT"), fewer(traced(SYM, "DF")))),
         (verify_achievable_in_outer,
          lambda: (SYM, BUDGET, traced(SYM, "DF"), fewer(traced(SYM, "OUTER")))),
-        (verify_degraded_capacity,
-         lambda: (SYM, BUDGET, fewer(traced(SYM, "DF")), traced(SYM, "DEGRADED"), 0)),
         (verify_full_vs_partial_user_decoding,
-         lambda: (SYM, BUDGET, traced(SYM, "PDF_JOINT"), fewer(traced(SYM, "PDF_PARTIAL")), 0)),
-    ], ids=["equivalence", "outer", "degraded", "partial"])
+         lambda: (SYM, traced(SYM, "PDF_JOINT"), fewer(traced(SYM, "PDF_PARTIAL")))),
+    ], ids=["equivalence", "outer", "partial"])
     def test_different_directions_rejected(self, claim, args):
         with pytest.raises(ValidationError, match="different weight directions"):
             claim(*args())
 
-    @pytest.mark.parametrize("rho", [NoiseCorrelation(0.0, 0.0), NoiseCorrelation(0.9, 0.9)],
-                             ids=["uncorrelated", "strong"])
-    def test_degraded_traced_at_other_rho_rejected(self, rho):
-        # such a frontier lies outside DF; the claim names the mismatch
-        # instead of reporting a verdict whose worst slack reads -0
-        fr_df = frontier(SYM, BUDGET, "DF", 3, SearchConfig())
-        fr_deg = frontier(SYM, BUDGET, "DEGRADED", 3, SearchConfig(), rho=rho)
-        with pytest.raises(ValidationError, match="degraded_capacity: fr_deg was traced at"):
-            verify_degraded_capacity(SYM, BUDGET, fr_df, fr_deg, seed=0)
+
+# the containments the term tables prove, as (outer, inner) scheme pairs;
+# DEGRADED at degraded_rho
+PAIRS = [("OUTER", "DF"), ("PDF_JOINT", "PDF_SEPARATE"), ("PDF_JOINT", "PDF_PARTIAL"),
+         ("DF", "DEGRADED"), ("DEGRADED", "DF")]
+_gain = st.floats(1e-2, 1e2)
+
+
+def _slack(g, outer, inner, rho, slots, alloc):
+    """Slack of inner's polygon inside outer's at one allocation."""
+    polys = [polygon_from_constraints(scheme_caps_region(s, g, slots, alloc, rho))
+             for s in (outer, inner)]
+    return region_contains(*polys, 0.0)[1]
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("outer, inner", PAIRS)
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(_gain, _gain, _gain, _gain), st.floats(0.1, 10.0),
+           st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)), st.integers(0, 2 ** 32 - 1))
+    def test_no_sampled_allocation_breaks_a_proof(self, outer, inner, k, noise, p, seed):
+        k12, k21, k10, k20 = k
+        degraded = "DEGRADED" in (outer, inner)
+        if degraded:
+            # both inter-user links stronger, where degraded_rho applies
+            (k10, k12), (k20, k21) = sorted((k10, k12)), sorted((k20, k21))
+        g = ChannelGains(k12, k21, k10, k20, noise)
+        rho = degraded_rho(g)
+        assume(rho is not None or not degraded)
+        proof = _dominates(_scheme_table(outer, g, rho), _scheme_table(inner, g, rho),
+                           _K_TOL if degraded else 0.0)
+        if inner == "PDF_PARTIAL":
+            assert (proof["refused"] is None) == (k12 >= k10 and k21 >= k20)
+        elif not degraded:
+            assert proof["refused"] is None
+        if proof["refused"] is not None:
+            return
+        assert proof["bound"] <= EXACT_TOL
+        rng = random.Random(seed)
+        for _ in range(20):
+            slots, alloc = sample_allocation(inner, g, PowerBudget(*p), rng)
+            assert _slack(g, outer, inner, rho, slots, alloc) >= -1e-12, (slots, alloc)
+
+    def test_refuses_partial_decoding_where_a_link_is_weaker(self):
+        # dead_coop has k12 < k10: partial decoding credits user 1's private
+        # power with the stronger direct link, and sticks out of full decoding
+        g, budget = PANEL["dead_coop"]
+        worst, witness = _prove("full_vs_partial_user_decoding", g)
+        assert worst == -math.inf and witness["proofs"][0]["refused"] is not None
+        rng = random.Random(0)
+        slack = min(_slack(g, "PDF_JOINT", "PDF_PARTIAL", None,
+                           *sample_allocation("PDF_PARTIAL", g, budget, rng))
+                    for _ in range(100))
+        assert slack < -0.1
+
+    @pytest.mark.parametrize("field, change", [("N", lambda n: 2.0 * n),
+                                               ("S", lambda s: (s + 1) % 3)],
+                             ids=["more_noise", "other_slot"])
+    def test_refuses_terms_over_other_noise_or_slots(self, field, change):
+        # such a term bounds nothing of its unchanged copy, so no cap is proven
+        outer = _scheme_table("DF", SYM)
+        setattr(outer, field, change(getattr(outer, field)))
+        assert _dominates(outer, _scheme_table("DF", SYM))["refused"] == 0
+
+
+class TestPanelStatuses:
+    """verify_claims' statuses on the benchmark's channel panel at three
+    weight directions, in verify_claims' order: pdf_df_equivalence,
+    joint_dominates_separate, achievable_in_outer, degraded_capacity and
+    full_vs_partial_user_decoding."""
+
+    STATUSES = {
+        "symmetric_k2": ("pass", "pass", "pass", "pass", "pass"),
+        "asym_witness": ("pass", "pass", "pass", "n/a", "pass"),
+        "skewed": ("pass", "pass", "pass", "pass", "pass"),
+        "dead_coop": ("pass", "pass", "pass", "n/a", "pass"),
+    }
+
+    @pytest.mark.parametrize("channel", sorted(STATUSES))
+    def test_statuses(self, channel):
+        g, budget = PANEL[channel]
+        got = tuple("n/a" if not v.applicable else "pass" if v.passed else "FAIL"
+                    for v in verify_claims(g, budget, 3, 0))
+        assert got == self.STATUSES[channel]
