@@ -32,7 +32,9 @@ order, give the same bits as ``minimize``, and a test checks that they do.
   from the DF solution (the best of its coherent energy split evenly between
   U and V, all on U and all on V), PDF_SEPARATE and PDF_PARTIAL from the
   PDF_JOINT solution; each direction is solved on its own.  A solve that
-  reports failure is restarted from its rebuilt point while that point gains.
+  reports failure is restarted from its rebuilt point while that point gains;
+  where it fails at a point that misses its rows, its best feasible iterate
+  is rebuilt too.
 - The solved candidate is re-solved from itself with a tighter tolerance
   until the value gains less than 1e-12 (relative), at most 20 times.  That
   tolerance is below the caps' resolution, so each of these polish solves
@@ -371,6 +373,7 @@ _POLISH = (0.01, 1e-15)
 _MAXITER = 100
 _STALL = 10             # a polish stops after this many iterations without a lower objective
 _SNAP = 1e-6            # rebuilt points are also tried with shorter slots emptied
+_MISS = 1e-9            # most an iterate may miss its rows by and still count as feasible
 _TIE_EPS = 1e-9         # weight of the tie rule when candidates are compared
 _TIE_ULPS = 4           # weighted values this close are ties in weighted_best_vertex
 _TIE_TURN = 1e-3        # smallest weight on R2 that SLSQP resolves
@@ -754,8 +757,13 @@ class _Solver:
 
     def minimize(self, model, z, weights, kind):
         """One SLSQP solve from z that maximizes weights . R: the solver's
-        last point and whether SLSQP reports success.  A _POLISH solve stops
-        once _STALL iterations in a row fail to lower its best objective."""
+        last point, whether SLSQP reports success and, for a failed solve
+        whose last point misses its rows by more than _MISS, its iterate of
+        lowest objective among those that do not (None if there is none or
+        the solve ends otherwise).  SLSQP can leave a solution for a far
+        infeasible point once its quasi-Newton matrix degrades, and fail
+        there.  A _POLISH solve stops once _STALL iterations in a row fail to
+        lower its best objective."""
         caps, grad = model
         # each coherent energy W of a pair (x, y) stays under sqrt(x y):
         # (x y - W^2) / (p1 p2) >= 0
@@ -779,7 +787,10 @@ class _Solver:
             out[3:] += caps(z, evaluated(z)) / self.scale
             return np.concatenate((out, (z[cx] * z[cy] - z[cw] ** 2) / norm))
 
+        iterates = []       # (objective, miss, point) where SLSQP asks for the Jacobian
+
         def jacobian(z):
+            iterates.append((-float(w @ z), -min(rows(z).min(), 0.0), z.copy()))
             jac = self.template.copy()
             jac[3:n_rows, :-2] = grad(z, evaluated(z)) / self.scale
             cone = jac[n_rows:]
@@ -813,19 +824,30 @@ class _Solver:
                 else:
                     stalled += 1
                 return stalled >= _STALL
-        return _slsqp(w, z, np.zeros(len(z)), upper, rows, jacobian, ftol * step, _MAXITER, stop)
+        x, success = _slsqp(w, z, np.zeros(len(z)), upper, rows, jacobian, ftol * step,
+                            _MAXITER, stop)
+        kept = None
+        if not success and -rows(x).min() > _MISS:
+            feasible = [(f, i) for i, (f, miss, _) in enumerate(iterates) if miss <= _MISS]
+            if feasible:
+                kept = iterates[min(feasible)[1]][2]
+        return x, success, kept
 
     def run(self, start: _Candidate, kind, restarts: int = 0, weights=None) -> _Candidate:
         """Maximize weights . R (by default mu . R) from a candidate, on the
         model linearized there.  A solve that reports failure is restarted from
-        its rebuilt point, up to ``restarts`` times while that point gains.
+        its better rebuilt point (its last point's or the feasible iterate
+        ``minimize`` keeps), up to ``restarts`` times while that point gains.
         Returns the best of the start and the rebuilt candidates."""
         z = self.point(start)
         model = self.model(z)
         best = start
         for _ in range(1 + restarts):
-            x, success = self.minimize(model, z, self.mu if weights is None else weights, kind)
+            x, success, kept = self.minimize(model, z, self.mu if weights is None else weights,
+                                             kind)
             c = self.candidate(x)
+            if kept is not None:
+                c = max(c, self.candidate(kept), key=lambda d: d.score)
             gained = c.score > best.score
             if gained:
                 best = c

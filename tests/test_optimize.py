@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdmac.core import (
@@ -435,6 +435,14 @@ class TestConcavePath:
 
     @settings(max_examples=40, deadline=None)
     @given(_concave_cases())
+    # SLSQP reaches the optimum, then leaves it for a far infeasible point
+    # and fails there; the solve must keep its last feasible iterate
+    @example(("DEGRADED",
+              ChannelGains(2.4749936970254027, 1.757060444700367, 1.6835345631507788,
+                           1.6967364595272634, noise=0.7588831395063408),
+              PowerBudget(0.7588831395063408, 0.2717872923890179),
+              NoiseCorrelation(0.6802177173922311, 0.9656676664965895),
+              (0.7256049876542537, 0.6881114749016108)))
     def test_df_family_beats_random_draws(self, case):
         scheme, g, budget, rho, mu = case
         value = _checked(g, budget, scheme, mu, rho)
@@ -661,7 +669,7 @@ class TestSlsqp:
                     before = solver.evaluations
                     with pytest.MonkeyPatch.context() as mp:
                         mp.setattr(optimize, "_slsqp", _logged(solve, log))
-                        x, success = solver.minimize(model, z, solver.mu, kind)
+                        x, success, _ = solver.minimize(model, z, solver.mu, kind)
                     runs.append((x.tobytes(), success, log, solver.evaluations - before))
                 assert runs[0] == runs[1], (scheme, channel)
                 assert len(runs[0][2]) > 2
