@@ -83,18 +83,21 @@ def _fixed_schemes(sc: Scenario) -> List[Tuple[str, object]]:
     return out
 
 
+def _bound_rows(region) -> List[Tuple[str, int, float]]:
+    """A region's bounds as (family, index, bits) rows."""
+    return [(family, i, v)
+            for family, bounds in (("r1", region.r1_bounds), ("r2", region.r2_bounds),
+                                   ("sum", region.sum_bounds))
+            for i, v in enumerate(bounds)]
+
+
 def _cmd_region(sc: Scenario, out: Path, weights: int) -> int:
     _require(sc.slots is not None, "region command needs a 'slots' section")
     pairs = _fixed_schemes(sc)
     _require(bool(pairs), "region command needs a 'pdf_allocation' or 'df_allocation' section")
     for name, alloc in pairs:
         region = scheme_region(name.upper(), sc.gains, sc.slots, alloc, rho=sc.rho)
-        rows = []
-        for fam, vals in (("r1", region.r1_bounds), ("r2", region.r2_bounds),
-                          ("sum", region.sum_bounds)):
-            for i, v in enumerate(vals):
-                rows.append((fam, i, v))
-        _write_csv(out / f"bounds_{name}.csv", ("family", "index", "bits"), rows)
+        _write_csv(out / f"bounds_{name}.csv", ("family", "index", "bits"), _bound_rows(region))
         poly = polygon_from_constraints(region)
         _write_csv(out / f"polygon_{name}.csv", ("index", "r1", "r2"),
                    [(i, x, y) for i, (x, y) in enumerate(poly.vertices)])
@@ -177,31 +180,21 @@ def _cmd_dmc(sc: Scenario, out: Path, weights: int) -> int:
     _require(sc.dmc is not None, "dmc command needs a 'dmc' section")
     _require(sc.slots is not None, "dmc command needs a 'slots' section")
     section = sc.dmc
-    rows = []
-
-    def emit(region_name: str, region) -> None:
-        for fam, vals in (("r1", region.r1_bounds), ("r2", region.r2_bounds),
-                          ("sum", region.sum_bounds)):
-            for i, v in enumerate(vals):
-                rows.append((region_name, fam, i, v))
-
-    evaluated = False
+    regions = []
     if section.pdf_input is not None:
-        emit("pdf_joint", dmc_mod.pdf_joint_region(section.channels, section.pdf_input, sc.slots))
-        emit("pdf_separate",
-             dmc_mod.pdf_separate_region(section.channels, section.pdf_input, sc.slots))
-        evaluated = True
+        regions += [
+            ("pdf_joint", dmc_mod.pdf_joint_region(section.channels, section.pdf_input, sc.slots)),
+            ("pdf_separate",
+             dmc_mod.pdf_separate_region(section.channels, section.pdf_input, sc.slots))]
     if section.df_input is not None:
-        emit("df", dmc_mod.df_region(section.channels, section.df_input, sc.slots))
-        evaluated = True
+        regions.append(("df", dmc_mod.df_region(section.channels, section.df_input, sc.slots)))
     if section.outer_input is not None:
-        emit("outer_pdf", dmc_mod.outer_region("pdf", section.channels,
-                                               section.outer_input, sc.slots))
-        emit("outer_df", dmc_mod.outer_region("df", section.channels,
-                                              section.outer_input, sc.slots))
-        evaluated = True
-    _require(evaluated, "dmc command needs at least one input distribution")
-    _write_csv(out / "dmc_regions.csv", ("region", "family", "index", "bits"), rows)
+        regions += [(f"outer_{kind}", dmc_mod.outer_region(kind, section.channels,
+                                                           section.outer_input, sc.slots))
+                    for kind in ("pdf", "df")]
+    _require(bool(regions), "dmc command needs at least one input distribution")
+    _write_csv(out / "dmc_regions.csv", ("region", "family", "index", "bits"),
+               [(name, *row) for name, region in regions for row in _bound_rows(region)])
     return 0
 
 

@@ -187,6 +187,8 @@ def df_gains(scheme: str, g: ChannelGains, rho: NoiseCorrelation | None = None):
     E12 is K12^2 for DF, K12^2 + K10^2 for the cut-set bound OUTER and
     (K12^2 + K10^2 - 2 K10 K12 rho1) / (1 - rho1^2) for DEGRADED, whose
     inter-user noise is correlated with the destination noise; E21 likewise.
+    DEGRADED's is computed as K10^2 + (K12 - K10 rho1)^2 / (1 - rho1^2),
+    which is >= 0 and, at rho1 = K10/K12, K12^2 without cancellation.
     """
     k10s = g.k10 * g.k10
     k20s = g.k20 * g.k20
@@ -199,9 +201,8 @@ def df_gains(scheme: str, g: ChannelGains, rho: NoiseCorrelation | None = None):
             raise ValidationError("DEGRADED needs a NoiseCorrelation")
         if abs(rho.rho1) >= 1.0 or abs(rho.rho2) >= 1.0:
             raise ValidationError("DEGRADED: |rho| = 1 is singular")
-        e12 = (g.k12 ** 2 + k10s - 2.0 * g.k10 * g.k12 * rho.rho1) / (1.0 - rho.rho1 ** 2)
-        e21 = (g.k21 ** 2 + k20s - 2.0 * g.k20 * g.k21 * rho.rho2) / (1.0 - rho.rho2 ** 2)
-        e12, e21 = max(0.0, e12), max(0.0, e21)
+        e12 = k10s + (g.k12 - g.k10 * rho.rho1) ** 2 / (1.0 - rho.rho1 ** 2)
+        e21 = k20s + (g.k21 - g.k20 * rho.rho2) ** 2 / (1.0 - rho.rho2 ** 2)
     return e12, e21, g.k10, g.k20, g.noise
 
 

@@ -22,7 +22,8 @@ compiled SLSQP kernel from the reverse-communication loop that
 ``scipy.optimize.minimize`` runs for this problem, without the wrapper around
 it: the objective is linear, so its value is one dot product and its
 gradient a constant.  The same kernel calls and callback calls, in the same
-order, give the same bits as ``minimize``, and a test checks that they do.
+order, give the same bits as ``minimize`` (with the polish's stall stop as
+its callback), and a test checks that they do.
 
 - Every solver point is rebuilt as TimeSlots and an allocation that spend
   both budgets, re-evaluated through ``scheme_region`` and
@@ -33,8 +34,9 @@ order, give the same bits as ``minimize``, and a test checks that they do.
   U and V, all on U and all on V), PDF_SEPARATE and PDF_PARTIAL from the
   PDF_JOINT solution; each direction is solved on its own.  A solve that
   reports failure is restarted from its rebuilt point while that point gains;
-  where it fails at a point that misses its rows, its best feasible iterate
-  is rebuilt too.
+  where it fails at a point that misses its rows by more than _MISS, the
+  feasible iterate ``_slsqp`` keeps is rebuilt too, and the better one is
+  used.
 - The solved candidate is re-solved from itself with a tighter tolerance
   until the value gains less than 1e-12 (relative), at most 20 times.  That
   tolerance is below the caps' resolution, so each of these polish solves
@@ -54,12 +56,15 @@ SLSQP asks for the constraint values at every line-search point and for
 their Jacobian at the points it accepts, nearly always just after their
 values.  A solve keeps the table's terms at its latest point (slot lengths,
 ratios and C values), from which the values follow and the Jacobian needs
-only C' and the assembly.  ``OptResult.evaluations`` counts cap
-evaluations: one per distinct solver point, whichever callbacks SLSQP calls
-there, one per distinct rebuilt point (the two rebuilds of a point are one
-unless a slot is shorter than 1e-6) and one per solve start only where the
-table has negative-weight terms, including those of the DF and PDF_JOINT
-solves a superposition scheme starts from.
+only C' and the assembly.  Where it asks for the Jacobian, the kernel's
+objective and constraint values are that point's, so ``_slsqp`` picks the
+feasible iterate it keeps from them without evaluating anything.
+``OptResult.evaluations`` counts cap evaluations: one per distinct solver
+point, whichever callbacks SLSQP calls there, one per distinct rebuilt
+point (the two rebuilds of a point are one unless a slot is shorter than
+1e-6) and one per solve start only where the table has negative-weight
+terms, including those of the DF and PDF_JOINT solves a superposition
+scheme starts from.
 
 Weights are divided by max(mu1, mu2) once, so the result does not depend on
 their scale, and directions with mu2 > mu1 are solved on the user-swapped
@@ -618,14 +623,19 @@ class _Candidate:
     value: float
 
 
-def _slsqp(w, x0, lower, upper, rows, jacobian, ftol: float, maxiter: int, stop=None):
+def _slsqp(w, x0, lower, upper, rows, jacobian, ftol: float, maxiter: int, stall=None):
     """Minimize -w . x subject to rows(x) >= 0 and lower <= x <= upper with
     SLSQP (Kraft, DFVLR-FB 88-28, 1988): scipy's compiled kernel, driven by
     the reverse-communication loop of scipy's ``_minimize_slsqp`` for this
     problem shape, with the same float operations and callback calls in the
-    same order.  ``stop(fx)`` is called once per major iteration and ends
-    the solve when it returns True.  Returns the last point and whether the
-    kernel reports success (exit mode 0)."""
+    same order.  With ``stall``, the solve ends once that many major
+    iterations in a row fail to lower its best objective.  Returns the last
+    point, whether the kernel reports success (exit mode 0) and, for a
+    failed solve whose last point misses its rows by more than _MISS, the
+    point of lowest objective among x0 and the points where the kernel asks
+    for the Jacobian (mode -1) that miss them by at most _MISS, or None.  At
+    those points the kernel's objective and row values are current, so they
+    are read, not evaluated again."""
     from scipy.optimize._slsqplib import slsqp
 
     x = np.clip(x0, lower, upper)
@@ -644,7 +654,8 @@ def _slsqp(w, x0, lower, upper, rows, jacobian, ftol: float, maxiter: int, stop=
     d = np.zeros(m)
     C[:] = jacobian(x)
     d[:] = rows(x)
-    iterations = 0
+    best, kept = fx, (fx, x.copy()) if -d.min() <= _MISS else None
+    iterations = stalled = 0
     while True:
         slsqp(state, fx, g, C, d, x, mult, xl, xu, buffer, indices)
         if state["mode"] == 1:
@@ -652,12 +663,19 @@ def _slsqp(w, x0, lower, upper, rows, jacobian, ftol: float, maxiter: int, stop=
             d[:] = rows(x)
         if state["mode"] == -1:
             C[:] = jacobian(x)
-        if state["iter"] > iterations and stop is not None and stop(fx):
-            break
+            if -d.min() <= _MISS and (kept is None or fx < kept[0]):
+                kept = fx, x.copy()
+        if state["iter"] > iterations and stall is not None:
+            best, stalled = (fx, 0) if fx < best else (best, stalled + 1)
+            if stalled >= stall:
+                break
         if abs(state["mode"]) != 1:
             break
         iterations = state["iter"]
-    return x, state["mode"] == 0
+    success = state["mode"] == 0
+    if not success and kept is not None and -d.min() > _MISS:
+        return x, success, kept[1]
+    return x, success, None
 
 
 class _Solver:
@@ -756,14 +774,13 @@ class _Solver:
     # -- solves ----------------------------------------------------------
 
     def minimize(self, model, z, weights, kind):
-        """One SLSQP solve from z that maximizes weights . R: the solver's
-        last point, whether SLSQP reports success and, for a failed solve
-        whose last point misses its rows by more than _MISS, its iterate of
-        lowest objective among those that do not (None if there is none or
-        the solve ends otherwise).  SLSQP can leave a solution for a far
-        infeasible point once its quasi-Newton matrix degrades, and fail
-        there.  A _POLISH solve stops once _STALL iterations in a row fail to
-        lower its best objective."""
+        """One SLSQP solve from z that maximizes weights . R: ``_slsqp``'s last
+        point, success flag and kept feasible iterate.  SLSQP can leave a
+        solution for a far infeasible point once its quasi-Newton matrix
+        degrades, and fail there.  A _POLISH solve stops once _STALL
+        iterations in a row fail to lower its best objective: it starts at a
+        solution, and its tolerance is below the caps' resolution, so past its
+        best iterate it only meets rounding."""
         caps, grad = model
         # each coherent energy W of a pair (x, y) stays under sqrt(x y):
         # (x y - W^2) / (p1 p2) >= 0
@@ -787,10 +804,7 @@ class _Solver:
             out[3:] += caps(z, evaluated(z)) / self.scale
             return np.concatenate((out, (z[cx] * z[cy] - z[cw] ** 2) / norm))
 
-        iterates = []       # (objective, miss, point) where SLSQP asks for the Jacobian
-
         def jacobian(z):
-            iterates.append((-float(w @ z), -min(rows(z).min(), 0.0), z.copy()))
             jac = self.template.copy()
             jac[3:n_rows, :-2] = grad(z, evaluated(z)) / self.scale
             cone = jac[n_rows:]
@@ -811,33 +825,14 @@ class _Solver:
         w = np.zeros(len(z))
         w[-2:] = weights
         w *= step
-        stop = None
-        if kind is _POLISH:
-            # a polish starts at a solution, and its tolerance is below the
-            # caps' resolution: past its best iterate it only meets rounding
-            best, stalled = -float(w @ z), 0
-
-            def stop(fx):
-                nonlocal best, stalled
-                if fx < best:
-                    best, stalled = fx, 0
-                else:
-                    stalled += 1
-                return stalled >= _STALL
-        x, success = _slsqp(w, z, np.zeros(len(z)), upper, rows, jacobian, ftol * step,
-                            _MAXITER, stop)
-        kept = None
-        if not success and -rows(x).min() > _MISS:
-            feasible = [(f, i) for i, (f, miss, _) in enumerate(iterates) if miss <= _MISS]
-            if feasible:
-                kept = iterates[min(feasible)[1]][2]
-        return x, success, kept
+        return _slsqp(w, z, np.zeros(len(z)), upper, rows, jacobian, ftol * step, _MAXITER,
+                      _STALL if kind is _POLISH else None)
 
     def run(self, start: _Candidate, kind, restarts: int = 0, weights=None) -> _Candidate:
         """Maximize weights . R (by default mu . R) from a candidate, on the
         model linearized there.  A solve that reports failure is restarted from
         its better rebuilt point (its last point's or the feasible iterate
-        ``minimize`` keeps), up to ``restarts`` times while that point gains.
+        ``_slsqp`` keeps), up to ``restarts`` times while that point gains.
         Returns the best of the start and the rebuilt candidates."""
         z = self.point(start)
         model = self.model(z)

@@ -94,14 +94,6 @@ class Verdict:
     details: Optional[dict] = None
 
 
-def _slots_dict(slots: TimeSlots) -> dict:
-    return {"a1": slots.a1, "a2": slots.a2, "a3": slots.a3}
-
-
-def _slots_from(d: dict) -> TimeSlots:
-    return TimeSlots(d["a1"], d["a2"], d["a3"])
-
-
 def pdf_to_df_allocation(a: PdfAllocation) -> DfAllocation:
     """Forward substitution between the two schemes' power accounts:
     P12 = P10 + PU, P21 = P20 + PV, PS1 = c2 PU + c3 PV, PS2 = d3 PU + d2 PV.
@@ -190,9 +182,9 @@ def verify_pdf_df_equivalence(g: ChannelGains, fr_pdf: FrontierResult,
                 "mu": list(rp.mu),
                 "pdf_value": rp.value,
                 "df_value": rd.value,
-                "pdf_slots": _slots_dict(rp.slots),
+                "pdf_slots": asdict(rp.slots),
                 "pdf_allocation": asdict(rp.allocation),
-                "df_slots": _slots_dict(rd.slots),
+                "df_slots": asdict(rd.slots),
                 "df_allocation": asdict(rd.allocation),
             }
 
@@ -378,8 +370,8 @@ def replay_witness(verdict: Verdict, g: ChannelGains, budget: PowerBudget) -> fl
     if verdict.claim == "pdf_df_equivalence":
         mu = tuple(w["mu"])
         _, pdf_value = weighted_best_vertex(polygon_from_constraints(pdf_joint_region(
-            g, _slots_from(w["pdf_slots"]), PdfAllocation(**w["pdf_allocation"]))), mu)
+            g, TimeSlots(**w["pdf_slots"]), PdfAllocation(**w["pdf_allocation"]))), mu)
         _, df_value = weighted_best_vertex(polygon_from_constraints(df_region(
-            g, _slots_from(w["df_slots"]), DfAllocation(**w["df_allocation"]))), mu)
+            g, TimeSlots(**w["df_slots"]), DfAllocation(**w["df_allocation"]))), mu)
         return -abs(pdf_value - df_value)
     raise ValidationError(f"unknown claim {verdict.claim!r}")

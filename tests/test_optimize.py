@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import _slsqp_py, _slsqplib
+from scipy.optimize._slsqplib import slsqp
 
 from hdmac.core import (
     ChannelGains,
@@ -42,6 +44,7 @@ from hdmac.optimize import (
     weighted_best_vertex,
     _COLD,
     _DF,
+    _MISS,
     _PDF,
     _POLISH,
     _SLOT_FLOOR,
@@ -58,7 +61,7 @@ from hdmac.optimize import (
     _slsqp,
     _unit_cube_allocation,
 )
-from hdmac.verify import verify_achievable_in_outer
+from hdmac.verify import degraded_rho, verify_achievable_in_outer
 from helpers import PANEL
 
 SYM = ChannelGains(2.0, 2.0, 1.0, 1.0, 1.0)
@@ -481,9 +484,9 @@ class TestConcavePath:
         failed = []
 
         def failing(*args):
-            x, _ = _slsqp(*args)
+            x, _, kept = _slsqp(*args)
             failed.append(x)
-            return x, False
+            return x, False, kept
 
         monkeypatch.setattr(optimize, "_slsqp", failing)
         _checked(SYM, BUDGET, scheme, (0.8, 0.6))
@@ -493,17 +496,22 @@ class TestConcavePath:
     def test_polish_stops_once_it_stalls(self, channel, monkeypatch):
         polishes = []
 
-        def recording(w, x0, lower, upper, rows, jacobian, ftol, maxiter, stop=None):
+        def recording(w, x0, lower, upper, rows, jacobian, ftol, maxiter, stall=None):
             # each polish solve's objective at its start and at every iterate
             if ftol != _POLISH[0] * _POLISH[1]:
-                return _slsqp(w, x0, lower, upper, rows, jacobian, ftol, maxiter, stop)
+                return _slsqp(w, x0, lower, upper, rows, jacobian, ftol, maxiter, stall)
+            assert stall == _STALL
             objectives = [-float(w @ x0)]
             polishes.append(objectives)
 
-            def recorded(fx):
-                objectives.append(fx)
-                return stop is not None and stop(fx)
-            return _slsqp(w, x0, lower, upper, rows, jacobian, ftol, maxiter, recorded)
+            def kernel(state, fx, g, C, d, x, *rest):
+                before = state["iter"]
+                slsqp(state, fx, g, C, d, x, *rest)
+                if state["iter"] > before:
+                    objectives.append(-float(w @ x))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_slsqplib, "slsqp", kernel)
+                return _slsqp(w, x0, lower, upper, rows, jacobian, ftol, maxiter, stall)
 
         monkeypatch.setattr(optimize, "_slsqp", recording)
         g, budget = PANEL[channel]
@@ -604,39 +612,91 @@ class TestConcavePath:
             assert res.value == res.mu[0] * res.vertex[0] + res.mu[1] * res.vertex[1]
 
 
-def _minimize_slsqp(w, x0, lower, upper, rows, jacobian, ftol, maxiter, stop=None):
-    """``_slsqp``'s problem solved by the public ``scipy.optimize.minimize``."""
+def _minimize_slsqp(w, x0, lower, upper, rows, jacobian, ftol, maxiter, stall=None):
+    """``_slsqp``'s problem solved by the public ``scipy.optimize.minimize``,
+    with the stall stop as a callback and the kept iterate chosen by logging
+    every point where SLSQP asks for the Jacobian: a failed solve whose last
+    point misses its rows by more than _MISS keeps the first logged point of
+    lowest objective among those that miss them by at most _MISS."""
     import scipy.optimize
 
+    values, iterates = {}, []
+
+    def seen_rows(x):
+        values[x.tobytes()] = out = rows(x)
+        return out
+
+    def seen_jacobian(x):
+        iterates.append((-float(w @ x), x.copy()))
+        return jacobian(x)
+
+    def miss(x):
+        # a point's rows as SLSQP saw them, evaluated only if it never asked
+        key = x.tobytes()
+        return -min((values[key] if key in values else rows(x)).min(), 0.0)
+
+    best, stalled = -float(w @ np.clip(x0, lower, upper)), 0
+
     def callback(intermediate_result):
-        if stop(intermediate_result.fun):
+        nonlocal best, stalled
+        if intermediate_result.fun < best:
+            best, stalled = intermediate_result.fun, 0
+        else:
+            stalled += 1
+        if stalled >= stall:
             raise StopIteration
+
     sol = scipy.optimize.minimize(
         lambda x: -float(w @ x), x0, jac=lambda x: -w, method="SLSQP",
-        bounds=list(zip(lower, upper)), callback=None if stop is None else callback,
+        bounds=list(zip(lower, upper)), callback=None if stall is None else callback,
         options={"ftol": ftol, "maxiter": maxiter},
-        constraints={"type": "ineq", "fun": rows, "jac": jacobian})
-    return sol.x, sol.success
+        constraints={"type": "ineq", "fun": seen_rows, "jac": seen_jacobian})
+    kept = None
+    if not sol.success and miss(sol.x) > _MISS:
+        feasible = [(f, i) for i, (f, x) in enumerate(iterates) if miss(x) <= _MISS]
+        if feasible:
+            kept = iterates[min(feasible)[1]][1]
+    return sol.x, sol.success, kept
 
 
 def _logged(solve, log):
     """``solve`` (``_slsqp`` or ``_minimize_slsqp``) with every callback call
-    appended to ``log``: each constraint callback with its point, and the
-    stop callback with its objective and its answer."""
-    def run(w, x0, lower, upper, rows, jacobian, ftol, maxiter, stop=None):
+    appended to ``log`` with its point, and every call of the compiled SLSQP
+    kernel with the iteration count and the mode it returns."""
+    def run(w, x0, lower, upper, rows, jacobian, *rest):
         def seen(name, f):
             def wrapped(z):
                 log.append((name, z.tobytes()))
                 return f(z)
             return wrapped
 
-        def stopped(fx):
-            halt = stop(fx)
-            log.append(("stop", fx, halt))
-            return halt
-        return solve(w, x0, lower, upper, seen("rows", rows), seen("jacobian", jacobian),
-                     ftol, maxiter, None if stop is None else stopped)
+        def kernel(state, *args):
+            slsqp(state, *args)
+            log.append(("kernel", state["iter"], state["mode"]))
+        with pytest.MonkeyPatch.context() as mp:
+            # _slsqp imports the kernel at each solve; scipy's SLSQP module
+            # bound its own name to it at import
+            mp.setattr(_slsqplib, "slsqp", kernel)
+            mp.setattr(_slsqp_py, "slsqp", kernel)
+            return solve(w, x0, lower, upper, seen("rows", rows), seen("jacobian", jacobian),
+                         *rest)
     return run
+
+
+def _stalled(log) -> bool:
+    """Whether a logged solve ended before the kernel did, on the stall."""
+    return [entry for entry in log if entry[0] == "kernel"][-1][2] in (1, -1)
+
+
+# DEGRADED's cold solve from the interior start reaches the optimum, then
+# leaves it for a far infeasible point and fails there (the @example of
+# test_df_family_beats_random_draws)
+FAILS_INFEASIBLY = (
+    ChannelGains(2.4749936970254027, 1.757060444700367, 1.6835345631507788,
+                 1.6967364595272634, noise=0.7588831395063408),
+    PowerBudget(0.7588831395063408, 0.2717872923890179),
+    NoiseCorrelation(0.6802177173922311, 0.9656676664965895),
+    0.6881114749016108 / 0.7256049876542537)
 
 
 class TestSlsqp:
@@ -646,39 +706,44 @@ class TestSlsqp:
     @pytest.mark.parametrize("kind", [_COLD, _POLISH], ids=["cold", "polish"])
     def test_solves_match_scipy_minimize(self, kind):
         rho = NoiseCorrelation(0.3, -0.2)
-        stops = 0
-        for scheme in SCHEMES:
+        cases = [(scheme, *PANEL[channel], rho, 0.5)
+                 for scheme in SCHEMES for channel in sorted(PANEL)]
+        cases.append(("DEGRADED", *FAILS_INFEASIBLY))
+        stops = kept = 0
+        for scheme, g, budget, rho, mu2 in cases:
             family = _PDF if scheme.startswith("PDF") else _DF
-            for channel in sorted(PANEL):
-                g, budget = PANEL[channel]
-                solver = _Solver(scheme, g, budget, rho, 1.0, 0.5)
-                x = _energies(_DF, *_interior(budget))
-                if family is _PDF:
-                    # own-slot power public, coherent energy split evenly
-                    a1, a2, e12, e21, e13, e23, es1, es2 = x
-                    x = [a1, a2, e12, 0.0, e21, 0.0, e13, e23, es1 / 2, es1 / 2, es2 / 2, es2 / 2]
-                start = solver.candidate(x)
-                if kind is _POLISH:
-                    # a polish starts near a solution
-                    start = solver.run(start, _COLD)
-                z = solver.point(start)
-                model = solver.model(z)
-                runs = []
-                for solve in (_slsqp, _minimize_slsqp):
-                    log = []
-                    before = solver.evaluations
-                    with pytest.MonkeyPatch.context() as mp:
-                        mp.setattr(optimize, "_slsqp", _logged(solve, log))
-                        x, success, _ = solver.minimize(model, z, solver.mu, kind)
-                    runs.append((x.tobytes(), success, log, solver.evaluations - before))
-                assert runs[0] == runs[1], (scheme, channel)
-                assert len(runs[0][2]) > 2
-                stops += any(entry[0] == "stop" and entry[2] for entry in runs[0][2])
-        # the stall stop ends some polish solves
+            solver = _Solver(scheme, g, budget, rho, 1.0, mu2)
+            x = _energies(_DF, *_interior(budget))
+            if family is _PDF:
+                # own-slot power public, coherent energy split evenly
+                a1, a2, e12, e21, e13, e23, es1, es2 = x
+                x = [a1, a2, e12, 0.0, e21, 0.0, e13, e23, es1 / 2, es1 / 2, es2 / 2, es2 / 2]
+            start = solver.candidate(x)
+            if kind is _POLISH:
+                # a polish starts near a solution
+                start = solver.run(start, _COLD)
+            z = solver.point(start)
+            model = solver.model(z)
+            runs = []
+            for solve in (_slsqp, _minimize_slsqp):
+                log = []
+                before = solver.evaluations
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(optimize, "_slsqp", _logged(solve, log))
+                    x, success, point = solver.minimize(model, z, solver.mu, kind)
+                runs.append((x.tobytes(), success, None if point is None else point.tobytes(),
+                             log, solver.evaluations - before))
+            assert runs[0] == runs[1], (scheme, g)
+            assert len(runs[0][3]) > 2
+            stops += _stalled(runs[0][3])
+            kept += runs[0][2] is not None
+        # the stall stop ends some polish solves, and the infeasible failure
+        # keeps an iterate
         assert stops > 0 if kind is _POLISH else stops == 0
+        assert kept > 0 or kind is _POLISH
 
-    @pytest.mark.parametrize("halt_at", [None, 3])
-    def test_infinite_bounds_and_a_start_outside_them(self, halt_at):
+    @pytest.mark.parametrize("stall", [None, 3])
+    def test_infinite_bounds_and_a_start_outside_them(self, stall):
         w = np.array([1.0, 2.0, 0.5])
         lower = np.array([-np.inf, 0.0, -np.inf])
         upper = np.array([1.0, np.inf, np.inf])
@@ -691,18 +756,42 @@ class TestSlsqp:
 
         runs = []
         for solve in (_slsqp, _minimize_slsqp):
-            log, calls = [], []
-
-            def stop(fx):
-                calls.append(fx)
-                return len(calls) == halt_at
-            x, success = _logged(solve, log)(w, np.array([2.0, -1.0, 0.5]), lower, upper,
-                                             rows, jacobian, 1e-12, 100, stop)
-            runs.append((x.tobytes(), success, log))
+            log = []
+            x, success, kept = _logged(solve, log)(w, np.array([2.0, -1.0, 0.5]), lower, upper,
+                                                   rows, jacobian, 1e-12, 100, stall)
+            runs.append((x.tobytes(), success, kept, log))
         assert runs[0] == runs[1]
-        assert runs[0][1] == (halt_at is None)
-        if halt_at is None:
+        assert runs[0][1] == (stall is None) == (not _stalled(runs[0][3]))
+        if stall is None:
             assert np.allclose(np.frombuffer(runs[0][0]), w / np.linalg.norm(w))
+
+    @pytest.mark.parametrize("channel", sorted(PANEL))
+    def test_kernel_values_are_current_at_each_jacobian_request(self, channel, monkeypatch):
+        # _slsqp keeps feasible iterates by the kernel's objective and row
+        # values where it asks for the Jacobian, so these must be the point's
+        requests = []
+
+        def checking(w, x0, lower, upper, rows, jacobian, *rest):
+            def kernel(state, fx, g, C, d, x, *args):
+                slsqp(state, fx, g, C, d, x, *args)
+                if state["mode"] == -1:
+                    requests.append((fx == -float(w @ x),
+                                     d.tobytes() == rows(x).tobytes()))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_slsqplib, "slsqp", kernel)
+                return _slsqp(w, x0, lower, upper, rows, jacobian, *rest)
+
+        monkeypatch.setattr(optimize, "_slsqp", checking)
+        g, budget = PANEL[channel]
+        rho = degraded_rho(g)
+        for scheme in SCHEMES:
+            if scheme == "DEGRADED" and rho is None:
+                continue
+            for theta in PANEL_THETAS:
+                optimize_scheme(g, budget, scheme, (math.cos(theta), math.sin(theta)),
+                                SearchConfig(), rho if scheme == "DEGRADED" else None)
+        assert len(requests) > 1000
+        assert all(fx and d for fx, d in requests), sum(not all(r) for r in requests)
 
 
 def _callbacks(solver, model, z):
@@ -712,7 +801,7 @@ def _callbacks(solver, model, z):
 
     def capture(w, x0, lower, upper, rows, jacobian, *args):
         captured.extend((rows, jacobian))
-        return x0, True
+        return x0, True, None
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimize, "_slsqp", capture)

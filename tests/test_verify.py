@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hdmac.core import (
@@ -202,11 +202,32 @@ class TestVerdicts:
         assert "sum_rate_gap" in v.details
 
 
+_gain = st.floats(1e-2, 1e2)
+
+
+@st.composite
+def _near_equal_links(draw):
+    """Channels whose inter-user links beat their direct links by ratios in
+    (1 + 1e-7, 1.01]."""
+    k10, k20 = draw(_gain), draw(_gain)
+    r1, r2 = (draw(st.floats(1.0 + 1e-7, 1.01, exclude_min=True)) for _ in range(2))
+    return ChannelGains(k10 * r1, k20 * r2, k10, k20, draw(st.floats(0.1, 10.0)))
+
+
 class TestDegradedRho:
     def test_ratios_where_both_links_are_stronger(self):
         assert degraded_rho(SYM) == NoiseCorrelation(0.5, 0.5)
         g = ChannelGains(3.0, 1.5, 1.0, 0.5, 1.0)
         assert degraded_rho(g) == NoiseCorrelation(1.0 / 3.0, 0.5 / 1.5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_near_equal_links())
+    # E21 rounded 2.2e-12 away from K21^2 when df_gains cancelled near ratio 1
+    @example(ChannelGains(82.14428268805602, 2.595161833965886, 35.20317498066455,
+                          2.5950371846175924, noise=3.0370809464666575))
+    def test_degraded_capacity_holds_near_equal_links(self, g):
+        v = verify_degraded_capacity(g)
+        assert v.applicable and v.passed, v.worst_slack
 
     @pytest.mark.parametrize("g", [ChannelGains(1.0, 2.0, 1.0, 1.0, 1.0),
                                    ChannelGains(2.0, 1.0, 1.0, 1.0, 1.0),
@@ -250,7 +271,6 @@ class TestFrontierArguments:
 # DEGRADED at degraded_rho
 PAIRS = [("OUTER", "DF"), ("PDF_JOINT", "PDF_SEPARATE"), ("PDF_JOINT", "PDF_PARTIAL"),
          ("DF", "DEGRADED"), ("DEGRADED", "DF")]
-_gain = st.floats(1e-2, 1e2)
 
 
 def _slack(g, outer, inner, rho, slots, alloc):
