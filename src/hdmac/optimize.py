@@ -29,6 +29,7 @@ its callback), and a test checks that they do.
   both budgets, re-evaluated through ``scheme_region`` and
   ``weighted_best_vertex`` and checked with ``power_feasible``; these
   rebuilt candidates are what the path compares and returns.
+  ``sample_allocation`` spends its random draws through the same rebuild.
 - Starts: DF, OUTER and DEGRADED start from a fixed interior point, PDF_JOINT
   from the DF solution (the best of its coherent energy split evenly between
   U and V, all on U and all on V), PDF_SEPARATE and PDF_PARTIAL from the
@@ -76,6 +77,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -243,103 +245,6 @@ def region_contains(outer: RatePolygon, inner: RatePolygon, tol: float):
 scheme_region = scheme_caps_region
 
 
-# ---------------------------------------------------------------------------
-# random feasible allocations (unit cube -> slot fractions and powers)
-# ---------------------------------------------------------------------------
-
-def _shares(a1, a2, g1, g2, p_1: float, p_2: float):
-    """Each user's powers (own slot, slot 3) for own-slot budget shares g1
-    and g2.  An empty own slot gets no power; an empty slot 3 leaves the
-    whole budget to the own slot."""
-    a3 = 1.0 - a1 - a2
-    out = ()
-    for a, g, p in ((a1, g1, p_1), (a2, g2, p_2)):
-        if a3 <= 0.0:
-            out += (p / a if a > 0.0 else 0.0, 0.0)
-        elif a <= 0.0:
-            out += (0.0, p / a3)
-        else:
-            out += (g * p / a, (1.0 - g) * p / a3)
-    return out
-
-
-def _df_split(x, p_1: float, p_2: float):
-    """x = (a1, a2, g1, h1, g2, h2) -> df_caps powers.
-
-    gk is user k's own-slot budget share and hk the private share of its
-    slot-3 power; the rest of the slot-3 power goes to the coherent symbol.
-    """
-    p12, b1, p21, b2 = _shares(x[0], x[1], x[2], x[4], p_1, p_2)
-    p13 = x[3] * b1
-    p23 = x[5] * b2
-    return p12, p21, p13, p23, b1 - p13, b2 - p23
-
-
-def _pdf_split(x, p_1: float, p_2: float):
-    """x = (a1, a2, g1, s1, ta1, tb1, g2, s2, ta2, tb2) -> pdf_caps powers.
-
-    gk is user k's own-slot budget share, sk the public share of its slot
-    power, tak the private share of its slot-3 power and tbk the share of
-    the remaining slot-3 power re-spent on its own public symbol (the rest
-    goes to the partner's).
-    """
-    slot1, b1, slot2, b2 = _shares(x[0], x[1], x[2], x[6], p_1, p_2)
-    pu = x[3] * slot1
-    pv = x[7] * slot2
-    p13 = x[4] * b1
-    p23 = x[8] * b2
-    rest1 = b1 - p13
-    rest2 = b2 - p23
-    ac2 = x[5] * rest1
-    ad2 = x[9] * rest2
-    ac3 = rest1 - ac2
-    ad3 = rest2 - ad2
-    # atoms riding on a public symbol that carries no power become private
-    if pu <= 0.0:
-        p13, p23, ac2, ad3 = p13 + ac2, p23 + ad3, 0.0, 0.0
-    if pv <= 0.0:
-        p13, p23, ac3, ad2 = p13 + ac3, p23 + ad2, 0.0, 0.0
-    return pu, slot1 - pu, pv, slot2 - pv, p13, p23, ac2, ac3, ad2, ad3
-
-
-def _pdf_allocation(powers) -> PdfAllocation:
-    """PdfAllocation of pdf_caps powers (pu, p10, pv, p20, p13, p23, ac2, ac3, ad2, ad3)."""
-    pu, p10, pv, p20, p13, p23, ac2, ac3, ad2, ad3 = powers
-    c2 = ac2 / pu if pu > 0.0 else 0.0
-    c3 = ac3 / pv if pv > 0.0 else 0.0
-    d2 = ad2 / pv if pv > 0.0 else 0.0
-    d3 = ad3 / pu if pu > 0.0 else 0.0
-    return PdfAllocation(p10, p20, pu, pv, p13, p23, c2, c3, d2, d3)
-
-
-def _unit_cube_allocation(pdf: bool, x, budget: PowerBudget):
-    """(TimeSlots, allocation) of a unit-cube point x = (a1, a2, shares...),
-    which spends each user's whole budget unless neither its own slot nor
-    slot 3 has any length."""
-    slots = TimeSlots.from_first_two(x[0], x[1])
-    if pdf:
-        return slots, _pdf_allocation(_pdf_split(x, budget.p1, budget.p2))
-    return slots, DfAllocation(*_df_split(x, budget.p1, budget.p2))
-
-
-def sample_allocation(scheme: str, g: ChannelGains, budget: PowerBudget, rng,
-                      interior: bool = False):
-    """Random feasible (TimeSlots, allocation), uniform over a unit-cube
-    parameterization; rng is a random.Random.  With interior=True the slot
-    fractions and public/private splits are kept away from the boundary so
-    every power component is strictly positive."""
-    _check(scheme in SCHEMES, f"unknown scheme {scheme!r}")
-    pdf = scheme in PDF_SCHEMES
-    u, v = sorted((rng.random(), rng.random()))
-    a1, a2 = u, v - u
-    params = [rng.random() for _ in range(8 if pdf else 4)]
-    if interior:
-        a1 = 0.1 + 0.5 * a1
-        a2 = 0.1 + 0.5 * a2
-        params = [0.1 + 0.8 * p for p in params]
-    return _unit_cube_allocation(pdf, (a1, a2, *params), budget)
-
-
 def _swap_gains(g: ChannelGains) -> ChannelGains:
     return ChannelGains(k12=g.k21, k21=g.k12, k10=g.k20, k20=g.k10, noise=g.noise)
 
@@ -405,6 +310,16 @@ class _Family:
     allocation: Callable         # kernel powers -> allocation
 
 
+def _pdf_allocation(powers) -> PdfAllocation:
+    """PdfAllocation of pdf_caps powers (pu, p10, pv, p20, p13, p23, ac2, ac3, ad2, ad3)."""
+    pu, p10, pv, p20, p13, p23, ac2, ac3, ad2, ad3 = powers
+    c2 = ac2 / pu if pu > 0.0 else 0.0
+    c3 = ac3 / pv if pv > 0.0 else 0.0
+    d2 = ad2 / pv if pv > 0.0 else 0.0
+    d3 = ad3 / pu if pu > 0.0 else 0.0
+    return PdfAllocation(p10, p20, pu, pv, p13, p23, c2, c3, d2, d3)
+
+
 # energies (E12, E21, E13, E23, ES1, ES2)
 _DF = _Family(name="DF", kernel=df_caps, slot_of=(0, 1, 2, 2, 2, 2), owner=(0, 1, 0, 1, 0, 1),
               private=(2, 3), own=(0, 1), pairs=((4, 5, None),), powers=df_powers,
@@ -423,6 +338,17 @@ def _energies(family: _Family, slots: TimeSlots, alloc) -> list:
     lengths = (slots.a1, slots.a2, slots.a3)
     return [slots.a1, slots.a2, *(p * lengths[s] for p, s in
                                   zip(family.powers(alloc), family.slot_of))]
+
+
+def _layout(family: _Family, a1: float, a2: float, users) -> list:
+    """(a1, a2, energies) of each user's (own-slot energy, its public share,
+    slot-3 private energy, coherent energy, its share on the user's own
+    public symbol, the rest on the partner's); DF reads neither share."""
+    (o1, s1, q1, c1, t1), (o2, s2, q2, c2, t2) = users
+    if family is _DF:
+        return [a1, a2, o1, o2, q1, q2, c1, c2]
+    return [a1, a2, s1 * o1, o1 - s1 * o1, s2 * o2, o2 - s2 * o2, q1, q2,
+            t1 * c1, (1 - t1) * c1, t2 * c2, (1 - t2) * c2]
 
 
 class _Form(dict):
@@ -561,15 +487,19 @@ def _dominates(outer: _Table, inner: _Table, delta: float = 0.0) -> dict:
 
 
 def _rebuild(family: _Family, scheme: str, z, budget: PowerBudget, shortest: float):
-    """TimeSlots and allocation of a solver point that spend each user's whole
-    budget.
+    """TimeSlots and allocation of a solver point, or of the energies
+    ``sample_allocation`` draws, that spend each user's whole budget.
 
     Slots are clamped into the simplex, and slots shorter than ``shortest``
     are emptied.  Energy is clamped at 0 and scaled onto a budget it
     overshoots; energy left unspent or parked in an empty slot goes to the
     user's slot-3 private symbol, or to its own slot when slot 3 is empty.
-    A coherent pair with a silent side becomes private power.  None of this
-    lowers a cap.
+    A coherent pair with a silent side becomes private power, and a public
+    symbol that carries only coherent power gets a nominal power.  Each
+    user's own-slot power is made public for PDF_JOINT, whose caps see only
+    its total, and private for PDF_SEPARATE, whose caps grow with the private
+    part at a fixed total; any other scheme, or a family name, keeps the
+    split.  None of this lowers a cap.
     """
     a1, a2 = (v if v >= shortest else 0.0 for v in (float(z[0]), float(z[1])))
     a1 = min(a1, 1.0)
@@ -612,6 +542,33 @@ def _rebuild(family: _Family, scheme: str, z, budget: PowerBudget, shortest: flo
     for carrier in nominal:
         powers[carrier] = powers[carrier] or _NOMINAL
     return slots, family.allocation(powers)
+
+
+def sample_allocation(scheme: str, g: ChannelGains, budget: PowerBudget, rng,
+                      interior: bool = False):
+    """Random feasible (TimeSlots, allocation), uniform over a unit-cube
+    parameterization; rng is a random.Random.  Each user puts a share of its
+    budget in its own slot, a share of that public in the superposition
+    schemes, and the rest in slot 3: a private share and a coherent part, in
+    the superposition schemes a share on the user's own public symbol and
+    the rest on the partner's.  ``_rebuild`` spends these energies as it
+    spends a solver point's.  With interior=True the slot fractions and
+    shares stay away from the boundary, so every power is strictly positive."""
+    _check(scheme in SCHEMES, f"unknown scheme {scheme!r}")
+    family = _PDF if scheme in PDF_SCHEMES else _DF
+    u, v = sorted((rng.random(), rng.random()))
+    a1, a2 = u, v - u
+    n = 4 if family is _PDF else 2      # draws per user
+    params = [rng.random() for _ in range(2 * n)]
+    if interior:
+        a1, a2 = 0.1 + 0.5 * a1, 0.1 + 0.5 * a2
+        params = [0.1 + 0.8 * p for p in params]
+    users = []
+    for p, (own, *shares) in zip((budget.p1, budget.p2), (params[:n], params[n:])):
+        public, private, atom = shares if family is _PDF else (1.0, *shares, 1.0)
+        rest = (1.0 - own) * p
+        users.append((own * p, public, private * rest, rest - private * rest, atom))
+    return _rebuild(family, family.name, _layout(family, a1, a2, users), budget, _SLOT_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -689,6 +646,10 @@ class _Solver:
         self.family = self.table.family
         self.scale = None
         self.evaluations = 0
+        # the cone rows are divided by p1 p2
+        self.norm = budget.p1 * budget.p2
+        _check(sys.float_info.min <= self.norm < math.inf,
+               f"power budget {budget!r}: p1 * p2 = {self.norm!r} is not a normal float")
         # every cap is a sum of at most four terms a * C(x / a) (PDF_PARTIAL
         # subtracts one), and no numerator exceeds gain * (p1 + p2) / a
         e12, e21, k10, k20, noise = self.table.gains
@@ -786,7 +747,7 @@ class _Solver:
         # (x y - W^2) / (p1 p2) >= 0
         cx, cy, cw = self.cones
         k = np.arange(len(cw))
-        norm = self.budget.p1 * self.budget.p2
+        norm = self.norm
         n_rows = len(self.base)
         key = terms = None
 
@@ -895,8 +856,8 @@ def _solve(scheme: str, g: ChannelGains, budget: PowerBudget,
             # own-slot power public, each coherent energy split evenly
             # between U and V, or all on one of them
             a1, a2, e12, e21, e13, e23, es1, es2 = _energies(_DF, base.slots, base.allocation)
-            points = [[a1, a2, e12, 0.0, e21, 0.0, e13, e23, u * es1, (1 - u) * es1,
-                       (1 - u) * es2, u * es2] for u in (0.5, 1.0, 0.0)]
+            points = [_layout(_PDF, a1, a2, ((e12, 1.0, e13, es1, u), (e21, 1.0, e23, es2, 1 - u)))
+                      for u in (0.5, 1.0, 0.0)]
         else:
             points = [_energies(_PDF, base.slots, base.allocation)]
     start = max((solver.candidate(x) for x in points), key=lambda c: c.score)

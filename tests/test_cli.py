@@ -207,6 +207,26 @@ search: {slot_grid: 5, power_grid: 4, refine_iters: 8, seed: 2}
             if r[3]:
                 assert (tmp_path / r[3]).exists()
 
+    def test_failing_claim_exits_one(self, tmp_path, monkeypatch, capsys):
+        import hdmac.cli
+        from hdmac.verify import Verdict
+
+        def verdicts(g, budget, weights, seed):
+            return [Verdict("broken", passed=False, worst_slack=-0.5, tolerance=1e-9,
+                            witness=None),
+                    Verdict("skipped", passed=False, worst_slack=-0.25, tolerance=1e-9,
+                            witness=None, applicable=False)]
+
+        monkeypatch.setattr(hdmac.cli, "verify_claims", verdicts)
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(PENTAGON_DOC, encoding="utf-8")
+        assert main(["verify", "--scenario", str(scenario), "--out", str(tmp_path)]) == 1
+        # an inapplicable claim is n/a and does not fail the run, whatever it reports
+        assert capsys.readouterr().out.splitlines() == [
+            "broken: FAIL (worst_slack=-0.5)", "skipped: n/a (worst_slack=-0.25)"]
+        assert read_csv(tmp_path / "verdicts.csv")[1:] == [
+            ["broken", "FAIL", "-0.5", ""], ["skipped", "n/a", "-0.25", ""]]
+
 
 class TestExportPlotData:
     def test_blocks_and_headers(self):

@@ -63,6 +63,12 @@ class TestTypes:
         s = TimeSlots.from_first_two(0.25, 0.25)
         assert s.a3 == pytest.approx(0.5, abs=1e-15)
 
+    def test_from_first_two_snaps_round_off_below_zero(self):
+        # 1 - 0.5 - (0.5 + 1e-13) lies in (-1e-12, 0): slot 3 is empty
+        assert TimeSlots.from_first_two(0.5, 0.5 + 1e-13) == TimeSlots(0.5, 0.5 + 1e-13, 0.0)
+        with pytest.raises(ValidationError, match="TimeSlots.a3 must be finite and >= 0"):
+            TimeSlots.from_first_two(0.5, 0.5 + 1e-11)
+
     def test_allocations_reject_negative(self):
         with pytest.raises(ValidationError):
             DfAllocation(-1, 0, 0, 0, 0, 0)

@@ -20,6 +20,7 @@ from hdmac.core import (
     polygon_from_constraints,
 )
 from hdmac.gaussian import (
+    CHECKED_OPS,
     NoiseCorrelation,
     baseline_region,
     degraded_outer_region,
@@ -283,6 +284,31 @@ class TestBaselines:
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
             baseline_region("FDMA", SYM, BUDGET)
+
+
+class TestRoundOffGuards:
+    """CHECKED_OPS = (_term, _gmean) read a negative numerator or product
+    within the round-off clamp (-1e-12) as 0 and reject one below it."""
+
+    def test_term_clamps_a_slightly_negative_numerator(self):
+        term, _ = CHECKED_OPS
+        assert term(0.5, -1e-13, 1.0) == 0.0
+        assert term(0.5, -1e-12, 2.0) == 0.0
+
+    def test_term_rejects_a_numerator_below_the_clamp(self):
+        term, _ = CHECKED_OPS
+        with pytest.raises(ValidationError, match="negative SNR numerator -2e-12"):
+            term(0.5, -2e-12, 1.0)
+
+    def test_gmean_clamps_a_slightly_negative_product(self):
+        _, gmean = CHECKED_OPS
+        assert gmean(-1e-13, 1.0) == 0.0
+        assert gmean(2.0, -5e-13) == 0.0
+
+    def test_gmean_rejects_a_product_below_the_clamp(self):
+        _, gmean = CHECKED_OPS
+        with pytest.raises(ValidationError, match="sqrt argument -2e-12 below round-off clamp"):
+            gmean(-1e-12, 2.0)
 
 
 class TestCrossRegionInvariants:

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -56,10 +57,10 @@ from hdmac.optimize import (
     _Table,
     _energies,
     _interior,
+    _layout,
     _rebuild,
     _scheme_table,
     _slsqp,
-    _unit_cube_allocation,
 )
 from hdmac.verify import degraded_rho, verify_achievable_in_outer
 from helpers import PANEL
@@ -160,6 +161,24 @@ class TestRegionContains:
         assert not ok
         assert slack == pytest.approx(-0.2, abs=1e-12)
 
+    def test_single_vertex_outer_is_a_dead_channel(self):
+        # with every gain 0 a region is the origin alone
+        dead = ChannelGains(0.0, 0.0, 0.0, 0.0, 1.0)
+        outer = polygon_from_constraints(scheme_region("OUTER", dead, TimeSlots(0.2, 0.3, 0.5),
+                                                       _interior(BUDGET)[1]))
+        assert outer.vertices == ((0.0, 0.0),)
+        assert optimize.point_slack(outer.vertices, (3.0, 4.0)) == -5.0
+        assert region_contains(outer, outer, 0.0) == (True, 0.0)
+        ok, slack = region_contains(outer, RatePolygon(((0.0, 0.0), (0.3, 0.0), (0.0, 0.4))), 1e-9)
+        assert not ok and slack == -0.4
+
+    def test_repeated_vertex_skips_its_zero_length_edge(self):
+        square = RatePolygon(((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
+        assert optimize.point_slack(square.vertices, (0.75, 0.5)) == 0.25
+        assert optimize.point_slack(square.vertices, (1.5, 0.5)) == -0.5
+        inner = RatePolygon(((0.0, 0.0), (0.5, 0.0), (0.5, 0.5)))
+        assert region_contains(square, inner, 0.0) == (True, 0.0)
+
 
 class TestSearchConfig:
     @pytest.mark.parametrize("field, value", [("slot_grid", 3.5), ("power_grid", 2.5),
@@ -171,6 +190,16 @@ class TestSearchConfig:
 
 
 _unit = st.sampled_from((0.0, 1.0)) | st.floats(1e-3, 1.0)
+
+
+class _Draws:
+    """A stand-in for random.Random that returns the given draws in order."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def random(self):
+        return next(self.draws)
 
 
 @st.composite
@@ -188,14 +217,29 @@ def _search_points(draw):
 @settings(max_examples=300, deadline=None)
 @given(_search_points())
 def test_search_caps_match_scheme_region(case):
-    scheme, budget, x = case
+    scheme, budget, (a1, a2, *shares) = case
     kind = "PDF" if scheme.startswith("PDF") else "DF"
-    slots, alloc = _unit_cube_allocation(kind == "PDF", x, budget)
+    # sample_allocation draws the slot fractions as two sorted draws u <= v,
+    # a1 = u and a2 = v - u, then the shares
+    slots, alloc = sample_allocation(scheme, SYM, budget, _Draws((a1, a1 + a2, *shares)))
     # the power identity: a user spends its whole budget unless neither its
     # own slot nor slot 3 has any length
     used = power_used(kind, slots, alloc)
     for u, total, own in zip(used, (budget.p1, budget.p2), (slots.a1, slots.a2)):
         assert u == pytest.approx(total if own > 0.0 or slots.a3 > 0.0 else 0.0, rel=1e-9)
+
+
+@given(st.lists(st.floats(0.0, 10.0), min_size=8, max_size=8))
+@example([0.5, 0.25, 1.0, 1.0, 1.0, 1.0, 5e-324, 5e-324])     # halving rounds a subnormal
+def test_layout_builds_the_df_starts_bit_for_bit(x):
+    # PDF_JOINT's starts from a DF solution: own-slot power public, each
+    # coherent energy split evenly between U and V, or all on one of them
+    a1, a2, e12, e21, e13, e23, es1, es2 = x
+    for u in (0.5, 1.0, 0.0):
+        start = _layout(_PDF, a1, a2, ((e12, 1.0, e13, es1, u), (e21, 1.0, e23, es2, 1 - u)))
+        literal = [a1, a2, e12, 0.0, e21, 0.0, e13, e23, u * es1, (1 - u) * es1,
+                   (1 - u) * es2, u * es2]
+        assert np.array(start).tobytes() == np.array(literal).tobytes()
 
 
 # (gains, budget, scheme, mu, seed, value, evaluations) recorded with the
@@ -275,6 +319,20 @@ class TestOptimizeScheme:
     def test_unknown_scheme(self):
         with pytest.raises(ValidationError):
             optimize_scheme(SYM, BUDGET, "CF", (1.0, 1.0), FAST)
+
+    @pytest.mark.parametrize("scheme", ["DF", "PDF_JOINT"])
+    def test_budget_product_below_the_normal_range_rejected(self, scheme):
+        # p1 * p2 underflows to 0, and the cone rows are divided by it
+        with pytest.raises(ValidationError, match=r"power budget .*p1 \* p2 = 0\.0"):
+            optimize_scheme(SYM, PowerBudget(1e-300, 1e-300), scheme, (1.0, 1.0), FAST)
+
+    @pytest.mark.parametrize("scheme", ["DF", "PDF_JOINT"])
+    def test_tiny_budget_with_a_normal_product_solves(self, scheme):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = optimize_scheme(SYM, PowerBudget(1e-100, 1e-100), scheme, (1.0, 1.0), FAST)
+        # the sum rate is at least the MAC's, C(p1 + p2) in bits, about p / ln 2
+        assert res.value >= c_gauss(2e-100) > 0.0
 
 
 @st.composite

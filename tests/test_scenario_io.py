@@ -166,6 +166,21 @@ class TestParsing:
             with pytest.raises(ScenarioError, match=f"scenario.m_user.{key}:"):
                 parse_scenario(doc)
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("budget: {p1: 2.0, p2: 2.0}", "budget: 2.0", "scenario.budget: expected a mapping"),
+        ("k12: 2.0", "k12: abc", "scenario.gains.k12: expected a number"),
+        ("m: 2", "m: 2.5", "scenario.m_user.m: expected an integer"),
+        ("budgets: [2.0, 2.0]", "budgets: [2.0]", "scenario.m_user.budgets: expected a list of 2"),
+        ("name: minimal", "name: 7", "scenario.name: expected a string"),
+        ("name: minimal", "name: minimal\nsweep: []", "scenario.sweep: expected a non-empty"),
+        ("name: minimal", "name: minimal\nsweep: [1.0, -0.5]",
+         "scenario.sweep: expected a non-empty"),
+    ], ids=["section", "number", "m", "budgets", "name", "empty_sweep", "negative_sweep"])
+    def test_malformed_entry_names_field(self, old, new, message):
+        doc = (MINIMAL + M_USER).replace(old, new, 1)
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            parse_scenario(doc)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("doc", [MINIMAL, FULL, DMC_DOC])
