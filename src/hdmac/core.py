@@ -19,7 +19,7 @@ from typing import Tuple, Union
 
 _LN2 = math.log(2.0)
 
-POWER_TOL = 1e-9      # absolute slack allowed on the power identities
+POWER_TOL = 1e-9      # slack allowed on the power identities, relative to budgets above 1
 SLOT_SUM_TOL = 1e-12  # |a1 + a2 + a3 - 1| tolerance
 
 
@@ -231,11 +231,13 @@ def power_feasible(scheme: str, slots: TimeSlots, alloc: AnyAllocation,
                    budget: PowerBudget) -> Tuple[float, float, bool]:
     """Check the per-user average-power identity against the budget.
 
-    Returns (used1, used2, feasible) where feasibility allows POWER_TOL of
-    absolute slack so optimizer outputs sitting on the budget boundary pass.
+    Returns (used1, used2, feasible) where feasibility allows a slack of
+    POWER_TOL * max(1, p) on a budget p, so optimizer outputs sitting on the
+    budget boundary pass whatever the rounding of ``power_used`` at p.
     """
     used1, used2 = power_used(scheme, slots, alloc)
-    ok = used1 <= budget.p1 + POWER_TOL and used2 <= budget.p2 + POWER_TOL
+    p1, p2 = budget.p1, budget.p2
+    ok = used1 <= p1 + POWER_TOL * max(1.0, p1) and used2 <= p2 + POWER_TOL * max(1.0, p2)
     return used1, used2, ok
 
 

@@ -101,7 +101,7 @@ def _validate_instance(g: MUserGains, a: MUserAllocation,
     for v in b:
         _check(v > 0.0, "budgets must be > 0")
     for k, used in enumerate(power_used(g, a)):
-        _check(abs(used - b[k]) <= POWER_TOL,
+        _check(abs(used - b[k]) <= POWER_TOL * max(1.0, b[k]),
                f"user {k + 1} power identity violated: uses {used!r}, budget {b[k]!r}")
     return b
 

@@ -57,15 +57,22 @@ SLSQP asks for the constraint values at every line-search point and for
 their Jacobian at the points it accepts, nearly always just after their
 values.  A solve keeps the table's terms at its latest point (slot lengths,
 ratios and C values), from which the values follow and the Jacobian needs
-only C' and the assembly.  Where it asks for the Jacobian, the kernel's
-objective and constraint values are that point's, so ``_slsqp`` picks the
-feasible iterate it keeps from them without evaluating anything.
+only C' and the assembly.  Each solve owns a workspace sized from its
+table: the terms and their Jacobian, the rows, and the rows' Jacobian, whose
+linear part is written once.  The callbacks fill it with ``out=`` ufuncs and
+ndarray methods (``ndarray.dot`` runs the BLAS product ``@`` runs) in the
+float operations and the order of the plain formula, so every result keeps
+its bits, and they return copies, which the caller owns.  ``_Table.terms``
+evaluates into arrays of its own, so it never overwrites a solve's terms.
+Where SLSQP asks for the Jacobian, the kernel's objective and constraint
+values are that point's, so ``_slsqp`` picks the feasible iterate it keeps
+from them without evaluating anything.
 ``OptResult.evaluations`` counts cap evaluations: one per distinct solver
 point, whichever callbacks SLSQP calls there, one per distinct rebuilt
-point (the two rebuilds of a point are one unless a slot is shorter than
-1e-6) and one per solve start only where the table has negative-weight
-terms, including those of the DF and PDF_JOINT solves a superposition
-scheme starts from.
+point (the two rebuilds of a point are one, rebuilt once, where cutting its
+slots at 1e-12 and at 1e-6 gives the same slots) and one per solve start
+only where the table has negative-weight terms, including those of the DF
+and PDF_JOINT solves a superposition scheme starts from.
 
 Weights are divided by max(mu1, mu2) once, so the result does not depend on
 their scale, and directions with mu2 > mu1 are solved on the user-swapped
@@ -79,7 +86,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -364,12 +371,19 @@ class _Form(dict):
         return self + _Form({t: -w for t, w in other.items()})
 
 
-class _Terms(NamedTuple):
-    """A table's terms at one solver point: ratios x, C(x) and values a_S C(x)."""
+class _Terms:
+    """A table's terms at one solver point, ratios x, C(x) and values
+    a_S C(x), in buffers that ``_Table.evaluate`` fills, next to the intermediates
+    of ``evaluate`` and the terms' Jacobian that ``_Table.jacobian`` fills."""
 
-    x: np.ndarray
-    c: np.ndarray
-    values: np.ndarray
+    def __init__(self, table: "_Table"):
+        n_terms, n_energies = table.K.shape
+        self.lengths = np.empty(3)
+        self.energies = np.empty(n_energies)
+        self.a, self.x, self.c, self.values, self.dc, self.s = np.empty((6, n_terms))
+        self.s_column = self.s[:, None]
+        self.jac = np.empty((n_terms, 2 + n_energies))
+        self.jac_slots, self.jac_energies = self.jac[:, :2], self.jac[:, 2:]
 
 
 class _Table:
@@ -380,6 +394,8 @@ class _Table:
     results unit rows over E, and term records (slot, row, noise)."""
 
     SLOT_ROWS = np.array(((1.0, 0.0), (0.0, 1.0), (-1.0, -1.0)))   # d(a1, a2, a3)/d(a1, a2)
+    # the formula's constants as 0-d arrays, which ufuncs take faster than floats
+    ZERO, HALF, ONE, FLOOR, LN2 = map(np.array, (0.0, 0.5, 1.0, _SLOT_FLOOR, _LN2))
 
     def __init__(self, family: _Family, scheme: str, gains):
         self.family, self.gains = family, gains
@@ -403,26 +419,42 @@ class _Table:
         self.slot_rows = self.SLOT_ROWS[self.S]
         self.negative = np.flatnonzero((self.M < 0.0).any(axis=0))   # PDF_PARTIAL's two
 
-    def evaluate(self, z) -> _Terms:
-        """The terms at z, with slots floored at _SLOT_FLOOR and energies at 0."""
-        lengths = z[:3].copy()
+    def evaluate(self, z, t: Optional[_Terms] = None) -> _Terms:
+        """The terms at z, with slots floored at _SLOT_FLOOR and energies at
+        0, written into ``t`` (a new record by default), which is returned.
+        The float operations are the formula's, in its order:
+        x = K @ E / (a_S N), C = 0.5 * log1p(x) / ln 2 and a_S * C."""
+        t = _Terms(self) if t is None else t
+        lengths = t.lengths
+        lengths[:2] = z[:2]
         lengths[2] = 1.0 - lengths[0] - lengths[1]
-        a = np.maximum(lengths, _SLOT_FLOOR, out=lengths)[self.S]
-        x = self.K @ np.maximum(z[2:2 + self.K.shape[1]], 0.0) / (a * self.N)
-        c = 0.5 * np.log1p(x) / _LN2
-        return _Terms(x, c, a * c)
+        a = np.maximum(lengths, self.FLOOR, out=lengths).take(self.S, out=t.a)
+        e = np.maximum(z[2:2 + len(t.energies)], self.ZERO, out=t.energies)
+        x = self.K.dot(e, t.x)
+        x /= np.multiply(a, self.N, out=t.s)
+        c = np.log1p(x, out=t.c)
+        c *= self.HALF
+        c /= self.LN2
+        np.multiply(a, c, out=t.values)
+        return t
 
-    def jacobian(self, t: _Terms):
-        """The terms' Jacobian over (a1, a2, E): the derivatives of the
-        unclamped formula, also where ``evaluate`` floors a slot or an energy."""
-        dc = 0.5 / (_LN2 * (1.0 + t.x))          # C'(x)
-        jac = np.empty((len(t.x), 2 + self.K.shape[1]))
-        jac[:, :2] = self.slot_rows * (t.c - t.x * dc)[:, None]
-        jac[:, 2:] = self.K * (dc / self.N)[:, None]
-        return jac
+    def jacobian(self, t: _Terms) -> np.ndarray:
+        """The terms' Jacobian over (a1, a2, E), written into ``t.jac``: the
+        derivatives of the unclamped formula, also where ``evaluate`` floors
+        a slot or an energy."""
+        dc = np.add(t.x, self.ONE, out=t.dc)
+        dc *= self.LN2
+        np.divide(self.HALF, dc, out=dc)    # C'(x)
+        s = np.multiply(t.x, dc, out=t.s)
+        np.subtract(t.c, s, out=s)
+        np.multiply(self.slot_rows, t.s_column, out=t.jac_slots)
+        np.divide(dc, self.N, out=s)
+        np.multiply(self.K, t.s_column, out=t.jac_energies)
+        return t.jac
 
     def terms(self, z):
-        """The terms' values at z and their Jacobian over (a1, a2, E)."""
+        """The terms' values at z and their Jacobian over (a1, a2, E), in
+        arrays of their own."""
         t = self.evaluate(z)
         return t.values, self.jacobian(t)
 
@@ -486,14 +518,25 @@ def _dominates(outer: _Table, inner: _Table, delta: float = 0.0) -> dict:
     return {"caps": caps, "refused": None, "bound": bound}
 
 
-def _rebuild(family: _Family, scheme: str, z, budget: PowerBudget, shortest: float):
-    """TimeSlots and allocation of a solver point, or of the energies
-    ``sample_allocation`` draws, that spend each user's whole budget.
+def _cut(z, shortest: float) -> TimeSlots:
+    """The slots of a solver point clamped into the simplex, with slots
+    shorter than ``shortest`` emptied."""
+    a1, a2 = (v if v >= shortest else 0.0 for v in (float(z[0]), float(z[1])))
+    a1 = min(a1, 1.0)
+    a2 = min(a2, 1.0 - a1)
+    if 1.0 - a1 - a2 < shortest:
+        a2 = 1.0 - a1
+    return TimeSlots.from_first_two(a1, a2)
 
-    Slots are clamped into the simplex, and slots shorter than ``shortest``
-    are emptied.  Energy is clamped at 0 and scaled onto a budget it
-    overshoots; energy left unspent or parked in an empty slot goes to the
-    user's slot-3 private symbol, or to its own slot when slot 3 is empty.
+
+def _rebuild(family: _Family, scheme: str, z, budget: PowerBudget, slots: TimeSlots):
+    """An allocation of a solver point, or of the energies
+    ``sample_allocation`` draws, at the slots ``_cut`` makes of it, that
+    spends each user's whole budget; returns (slots, allocation).
+
+    Energy is clamped at 0 and scaled onto a budget it overshoots; energy
+    left unspent or parked in an empty slot goes to the user's slot-3
+    private symbol, or to its own slot when slot 3 is empty.
     A coherent pair with a silent side becomes private power, and a public
     symbol that carries only coherent power gets a nominal power.  Each
     user's own-slot power is made public for PDF_JOINT, whose caps see only
@@ -501,12 +544,6 @@ def _rebuild(family: _Family, scheme: str, z, budget: PowerBudget, shortest: flo
     part at a fixed total; any other scheme, or a family name, keeps the
     split.  None of this lowers a cap.
     """
-    a1, a2 = (v if v >= shortest else 0.0 for v in (float(z[0]), float(z[1])))
-    a1 = min(a1, 1.0)
-    a2 = min(a2, 1.0 - a1)
-    if 1.0 - a1 - a2 < shortest:
-        a2 = 1.0 - a1
-    slots = TimeSlots.from_first_two(a1, a2)
     lengths = (slots.a1, slots.a2, slots.a3)
     e = [max(float(v), 0.0) if lengths[s] > 0.0 else 0.0
          for v, s in zip(z[2:], family.slot_of)]
@@ -568,7 +605,8 @@ def sample_allocation(scheme: str, g: ChannelGains, budget: PowerBudget, rng,
         public, private, atom = shares if family is _PDF else (1.0, *shares, 1.0)
         rest = (1.0 - own) * p
         users.append((own * p, public, private * rest, rest - private * rest, atom))
-    return _rebuild(family, family.name, _layout(family, a1, a2, users), budget, _SLOT_FLOOR)
+    z = _layout(family, a1, a2, users)
+    return _rebuild(family, family.name, z, budget, _cut(z, _SLOT_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -606,7 +644,7 @@ def _slsqp(w, x0, lower, upper, rows, jacobian, ftol: float, maxiter: int, stall
     buffer = np.zeros(n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28)
     indices = np.zeros(m + 2 * n + 2, dtype=np.int32)
     mult = np.zeros(m + 2 * n + 2)
-    fx, g = -float(w @ x), -w
+    fx, g = -float(w.dot(x)), -w
     C = np.zeros((m, n), order="F")
     d = np.zeros(m)
     C[:] = jacobian(x)
@@ -615,10 +653,11 @@ def _slsqp(w, x0, lower, upper, rows, jacobian, ftol: float, maxiter: int, stall
     iterations = stalled = 0
     while True:
         slsqp(state, fx, g, C, d, x, mult, xl, xu, buffer, indices)
-        if state["mode"] == 1:
-            fx = -float(w @ x)
+        mode = state["mode"]
+        if mode == 1:
+            fx = -float(w.dot(x))
             d[:] = rows(x)
-        if state["mode"] == -1:
+        elif mode == -1:
             C[:] = jacobian(x)
             if -d.min() <= _MISS and (kept is None or fx < kept[0]):
                 kept = fx, x.copy()
@@ -626,10 +665,10 @@ def _slsqp(w, x0, lower, upper, rows, jacobian, ftol: float, maxiter: int, stall
             best, stalled = (fx, 0) if fx < best else (best, stalled + 1)
             if stalled >= stall:
                 break
-        if abs(state["mode"]) != 1:
+        if abs(mode) != 1:
             break
         iterations = state["iter"]
-    success = state["mode"] == 0
+    success = mode == 0
     if not success and kept is not None and -d.min() > _MISS:
         return x, success, kept[1]
     return x, success, None
@@ -680,22 +719,28 @@ class _Solver:
         """(z, t) -> caps and (z, t) -> their Jacobian over z[:-2], where t is
         the table's terms at z, of the table with its negative-weight terms
         replaced by their tangents at ``at``: a concave model, tight at
-        ``at``.  Only a table with such terms evaluates ``at``."""
+        ``at``.  Only a table with such terms evaluates ``at``.  Each returns
+        a buffer of the model's own, which the next call overwrites."""
         table, neg = self.table, self.table.negative
+        M = table.M
+        caps_out, jac_out = np.empty(len(M)), np.empty((len(M), 2 + table.K.shape[1]))
         if neg.size == 0:
-            return (lambda z, t: table.M @ t.values), (lambda z, t: table.M @ table.jacobian(t))
+            return ((lambda z, t: M.dot(t.values, caps_out)),
+                    (lambda z, t: M.dot(table.jacobian(t), jac_out)))
         v0, j0 = (x[neg] for x in table.terms(at))
         self.evaluations += 1
+        at = at[:-2].copy()
+        v, step, tangent = np.empty(len(table.K)), np.empty(len(at)), np.empty(len(neg))
 
         def caps(z, t):
-            v = t.values.copy()
-            v[neg] = v0 + j0 @ (z[:-2] - at[:-2])
-            return table.M @ v
+            np.copyto(v, t.values)
+            v[neg] = np.add(v0, j0.dot(np.subtract(z[:-2], at, out=step), tangent), out=tangent)
+            return M.dot(v, caps_out)
 
         def jacobian(z, t):
             j = table.jacobian(t)
             j[neg] = j0
-            return table.M @ j
+            return M.dot(j, jac_out)
         return caps, jacobian
 
     # -- candidates ------------------------------------------------------
@@ -703,15 +748,13 @@ class _Solver:
     def candidate(self, z) -> _Candidate:
         """The better of z's rebuilt points, with and without slots shorter
         than _SNAP emptied: SLSQP can leave a slot just above 0 that wastes
-        energy.  Where no slot is that short the two are one point, evaluated
-        once."""
-        mu = tuple(self.mu)
-        best = seen = None
-        for shortest in (_SLOT_FLOOR, _SNAP):
-            slots, alloc = _rebuild(self.family, self.scheme, z, self.budget, shortest)
-            if (slots, alloc) == seen:
-                break       # no slot lies in [_SLOT_FLOOR, _SNAP): the same point
-            seen = slots, alloc
+        energy.  A rebuild sees the cut only through the slots it gives, so
+        where both cuts give the same slots the two are one point, rebuilt
+        and evaluated once."""
+        mu, best = tuple(self.mu), None
+        floor, snapped = _cut(z, _SLOT_FLOOR), _cut(z, _SNAP)
+        for cut in (floor,) if snapped == floor else (floor, snapped):
+            slots, alloc = _rebuild(self.family, self.scheme, z, self.budget, cut)
             if not power_feasible(self.family.name, slots, alloc, self.budget)[2]:
                 raise RuntimeError("a rebuilt point misses the power budget")
             region = scheme_region(self.scheme, self.g, slots, alloc, self.rho)
@@ -741,36 +784,51 @@ class _Solver:
         degrades, and fail there.  A _POLISH solve stops once _STALL
         iterations in a row fail to lower its best objective: it starts at a
         solution, and its tolerance is below the caps' resolution, so past its
-        best iterate it only meets rounding."""
+        best iterate it only meets rounding.
+
+        The callbacks handed to SLSQP fill this solve's workspace (the
+        table's terms at the latest point, the rows, and their Jacobian with
+        its linear rows written once) and return copies of it, which the
+        caller owns."""
         caps, grad = model
         # each coherent energy W of a pair (x, y) stays under sqrt(x y):
-        # (x y - W^2) / (p1 p2) >= 0
+        # (x y - W^2) / (p1 p2) >= 0, row n_rows + r for pair r
         cx, cy, cw = self.cones
-        k = np.arange(len(cw))
-        norm = self.norm
         n_rows = len(self.base)
-        key = terms = None
+        cones = list(enumerate(zip(cx.tolist(), cy.tolist(), cw.tolist()), n_rows))
+        norm, scale = self.norm, np.array(self.scale)
+        terms = _Terms(self.table)
+        out = np.empty(n_rows + len(cw))
+        linear, capped = out[:n_rows], out[3:n_rows]
+        jac = self.template.copy()
+        dcaps = jac[3:n_rows, :-2]
+        key = None
 
         def evaluated(z):
             # the table's terms at z, evaluated by whichever callback sees z first
-            nonlocal key, terms
+            nonlocal key
             seen = z.tobytes()
             if seen != key:
-                key, terms = seen, self.table.evaluate(z)
+                self.table.evaluate(z, terms)
+                key = seen
                 self.evaluations += 1
             return terms
 
         def rows(z):
-            out = self.base + self.linear @ z
-            out[3:] += caps(z, evaluated(z)) / self.scale
-            return np.concatenate((out, (z[cx] * z[cy] - z[cw] ** 2) / norm))
+            np.add(self.base, self.linear.dot(z, linear), out=linear)
+            c = caps(z, evaluated(z))
+            np.add(capped, np.divide(c, scale, out=c), out=capped)
+            for r, (x, y, w) in cones:
+                zw = z.item(w)
+                out[r] = (z.item(x) * z.item(y) - zw * zw) / norm
+            return out.copy()
 
         def jacobian(z):
-            jac = self.template.copy()
-            jac[3:n_rows, :-2] = grad(z, evaluated(z)) / self.scale
-            cone = jac[n_rows:]
-            cone[k, cx], cone[k, cy], cone[k, cw] = z[cy] / norm, z[cx] / norm, -2 * z[cw] / norm
-            return jac
+            np.divide(grad(z, evaluated(z)), scale, out=dcaps)
+            for r, (x, y, w) in cones:
+                jac[r, x], jac[r, y] = z.item(y) / norm, z.item(x) / norm
+                jac[r, w] = -2 * z.item(w) / norm
+            return jac.copy()
 
         # the energies of a slot that is empty at the start stay 0: at an
         # empty slot a * C(k E / a) has no gradient, and the supergradient

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdmac.core import (
+    POWER_TOL,
     ChannelGains,
     DfAllocation,
     LinearRegion,
@@ -157,6 +158,16 @@ class TestPowerFeasible:
         slots = TimeSlots(0.2, 0.2, 0.6)
         with pytest.raises(ValidationError):
             power_feasible("PDF", slots, DfAllocation(0, 0, 0, 0, 0, 0), PowerBudget(1, 1))
+
+    @pytest.mark.parametrize("p", [1e-3, 1.0, 1e8, 1e20])
+    def test_slack_is_relative_to_budgets_above_one(self, p):
+        # above a budget of about 1e7 the rounding of power_used exceeds an
+        # absolute 1e-9; with slot 1 whole, user 1 spends exactly p12
+        slots = TimeSlots(1.0, 0.0, 0.0)
+        slack = POWER_TOL * max(1.0, p)
+        for over, ok in ((0.5 * slack, True), (10.0 * slack, False)):
+            alloc = DfAllocation(p + over, 0.0, 0.0, 0.0, 0.0, 0.0)
+            assert power_feasible("DF", slots, alloc, PowerBudget(p, p))[2] is ok
 
     @given(st.integers(min_value=0, max_value=5),
            st.floats(min_value=0.0, max_value=3.0))

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hdmac.core import ChannelGains, DfAllocation, TimeSlots, ValidationError, c_gauss
+from hdmac.core import POWER_TOL, ChannelGains, DfAllocation, TimeSlots, ValidationError, c_gauss
 from hdmac.gaussian import df_region, gaussian_outer_region
 from hdmac.muser import (
     MUserAllocation,
@@ -80,6 +80,18 @@ class TestTypes:
         muser_achievable_constraints(gains, alloc, budgets)  # exact identity
         with pytest.raises(ValidationError):
             muser_achievable_constraints(gains, alloc, (1.0, 2.0))
+
+    def test_power_identity_slack_is_relative(self):
+        # at budgets of 1e8 power_used rounds by more than an absolute 1e-9
+        p, (a1, a2, a3) = 1e8, (0.36, 0.25, 0.39)
+        gains, _, _ = two_user_instance()
+        rest = 0.57 * p / a3
+        alloc = MUserAllocation((a1, a2, a3), p_solo=(0.43 * p / a1, 0.43 * p / a2),
+                                p_priv=(0.42 * rest,) * 2, p_coop=(0.58 * rest,) * 2)
+        assert max(abs(u - p) for u in power_used(gains, alloc)) > 1e-9
+        muser_achievable_constraints(gains, alloc, (p, p))
+        with pytest.raises(ValidationError, match="power identity"):
+            muser_achievable_constraints(gains, alloc, (p, p * (1.0 - 10.0 * POWER_TOL)))
 
     def test_power_used(self):
         gains, alloc, budgets = two_user_instance()
