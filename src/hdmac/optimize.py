@@ -538,47 +538,57 @@ def _rebuild(family: _Family, scheme: str, z, budget: PowerBudget, slots: TimeSl
     left unspent or parked in an empty slot goes to the user's slot-3
     private symbol, or to its own slot when slot 3 is empty.
     A coherent pair with a silent side becomes private power, and a public
-    symbol that carries only coherent power gets a nominal power.  Each
+    symbol that carries only coherent power, or so little of its own that a
+    coherent ratio over it overflows, gets a nominal power.  Each
     user's own-slot power is made public for PDF_JOINT, whose caps see only
     its total, and private for PDF_SEPARATE, whose caps grow with the private
     part at a fixed total; any other scheme, or a family name, keeps the
     split.  None of this lowers a cap.
     """
     lengths = (slots.a1, slots.a2, slots.a3)
-    e = [max(float(v), 0.0) if lengths[s] > 0.0 else 0.0
-         for v, s in zip(z[2:], family.slot_of)]
+    start = [max(float(v), 0.0) if lengths[s] > 0.0 else 0.0
+             for v, s in zip(z[2:], family.slot_of)]
     if scheme == "PDF_JOINT":
         # only su1 = pu + p10 and su2 = pv + p20 enter its caps
-        e[0:4] = e[0] + e[1], 0.0, e[2] + e[3], 0.0
+        start[0:4] = start[0] + start[1], 0.0, start[2] + start[3], 0.0
     elif scheme == "PDF_SEPARATE":
         # its caps see su1 and p10, and grow with p10 at a fixed su1
-        e[0:4] = 0.0, e[0] + e[1], 0.0, e[2] + e[3]
-    nominal = []
-    for i, j, carrier in family.pairs:
-        if e[i] == 0.0 or e[j] == 0.0:
-            e[family.private[0]] += e[i]
-            e[family.private[1]] += e[j]
-            e[i] = e[j] = 0.0
-        elif carrier is not None and e[carrier] == 0.0:
-            # the pair keeps its coherent gain on a public symbol that has
-            # no power of its own: the symbol gets a nominal power, which
-            # costs energy only in a slot of positive length
-            nominal.append(carrier)
-            e[carrier] = _NOMINAL * lengths[family.slot_of[carrier]]
-    for user, total in enumerate((budget.p1, budget.p2)):
-        mine = [i for i, o in enumerate(family.owner) if o == user]
-        spent = sum(e[i] for i in mine)
-        if spent > total:
-            for i in mine:
-                e[i] *= total / spent
-        elif slots.a3 > 0.0:
-            e[family.private[user]] += total - spent
-        elif lengths[user] > 0.0:
-            e[family.own[user]] += total - spent
-    powers = [v / lengths[s] if lengths[s] > 0.0 else 0.0 for v, s in zip(e, family.slot_of)]
-    for carrier in nominal:
-        powers[carrier] = powers[carrier] or _NOMINAL
-    return slots, family.allocation(powers)
+        start[0:4] = 0.0, start[0] + start[1], 0.0, start[2] + start[3]
+
+    def spend(faint):
+        """The start energies' powers once spent, the carriers in ``faint`` silent."""
+        e, nominal = list(start), []
+        for i, j, carrier in family.pairs:
+            if e[i] == 0.0 or e[j] == 0.0:
+                e[family.private[0]] += e[i]
+                e[family.private[1]] += e[j]
+                e[i] = e[j] = 0.0
+            elif carrier is not None and (e[carrier] == 0.0 or carrier in faint):
+                # the pair keeps its coherent gain on a public symbol that
+                # has no power of its own: the symbol gets a nominal power,
+                # which costs energy only in a slot of positive length
+                nominal.append(carrier)
+                e[carrier] = _NOMINAL * lengths[family.slot_of[carrier]]
+        for user, total in enumerate((budget.p1, budget.p2)):
+            mine = [i for i, o in enumerate(family.owner) if o == user]
+            spent = sum(e[i] for i in mine)
+            if spent > total:
+                for i in mine:
+                    e[i] *= total / spent
+            elif slots.a3 > 0.0:
+                e[family.private[user]] += total - spent
+            elif lengths[user] > 0.0:
+                e[family.own[user]] += total - spent
+        powers = [v / lengths[s] if lengths[s] > 0.0 else 0.0 for v, s in zip(e, family.slot_of)]
+        for carrier in nominal:
+            powers[carrier] = powers[carrier] or _NOMINAL
+        return powers
+
+    powers = spend(())
+    # carriers so faint (subnormal, say) that a coherent ratio over one overflows
+    faint = [c for i, j, c in family.pairs if c is not None and powers[c] > 0.0
+             and math.isinf(max(powers[i], powers[j]) / powers[c])]
+    return slots, family.allocation(spend(faint) if faint else powers)
 
 
 def sample_allocation(scheme: str, g: ChannelGains, budget: PowerBudget, rng,

@@ -149,14 +149,13 @@ def _parse_record(node, where: str, record):
 
 
 def _parse_search(node, where: str) -> SearchConfig:
+    """SearchConfig's fields as optional keys, each defaulting to the field's
+    default and read as an integer where that default is one."""
     node = _expect_map(node, where)
-    _take(node, where, ("slot_grid", "power_grid", "refine_iters", "refine_shrink", "seed"))
-    return _wrap(where, lambda: SearchConfig(
-        slot_grid=_int(node, where, "slot_grid", 11),
-        power_grid=_int(node, where, "power_grid", 9),
-        refine_iters=_int(node, where, "refine_iters", 60),
-        refine_shrink=_num(node, where, "refine_shrink", 0.7),
-        seed=_int(node, where, "seed", 0)))
+    _take(node, where, _field_names(SearchConfig))
+    return _wrap(where, lambda: SearchConfig(**{
+        f.name: (_int if isinstance(f.default, int) else _num)(node, where, f.name, f.default)
+        for f in fields(SearchConfig)}))
 
 
 def _parse_table(node, where: str, dims: Tuple[str, ...]):

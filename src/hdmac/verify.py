@@ -6,12 +6,11 @@ Four claims hold allocation by allocation: separate decoding inside joint
 decoding, decode-forward inside the outer bound, partial user decoding
 inside full decoding and the degraded outer bound equal to decode-forward.
 Their containments are proven for every allocation at once on the schemes'
-term tables (``optimize._dominates``).  The frontier equalities and DF's
-hull inside OUTER's stay optimizer checks on frontiers the claims are
-given, of the schemes they name and over the same weight directions;
-``verify_claims`` traces PDF_JOINT, DF, OUTER and PDF_PARTIAL once each.  A
-traced hull is an inner approximation, so DF's is compared with OUTER's
-hull widened by the outer region at DF's optima.
+term tables (``optimize._dominates``); achievable_in_outer and
+degraded_capacity pass or fail on those proofs alone.  The frontier
+equalities stay optimizer checks on frontiers the claims are given, of the
+schemes they name and over the same weight directions; ``verify_claims``
+traces PDF_JOINT, DF and PDF_PARTIAL once each.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .core import (
 from .gaussian import (
     NoiseCorrelation,
     df_region,
-    gaussian_outer_region,
     pdf_joint_region,
     pdf_separate_region,
 )
@@ -47,16 +45,13 @@ from .optimize import (
     frontier,
     optimize_scheme,
     point_slack,
-    region_contains,
     sample_allocation,
     swap_allocation,
-    upper_hull,
     weighted_best_vertex,
 )
 
 FRONTIER_TOL = 1e-3      # bits per weight direction
 CONTAIN_TOL = 1e-9
-HULL_TOL = 1e-6
 EXACT_TOL = 1e-12
 STRICT_GAP = 1e-6
 SAMPLES = 100            # random allocations of joint_dominates_separate's strict-gap search
@@ -149,7 +144,7 @@ def _check_frontiers(claim: str, **given: FrontierResult) -> None:
     """Each frontier argument, named fr_<scheme>, is of the scheme the claim
     expects, and all were traced over the same weight directions."""
     want = {"fr_pdf": "PDF_JOINT", "fr_full": "PDF_JOINT", "fr_part": "PDF_PARTIAL",
-            "fr_df": "DF", "fr_out": "OUTER"}
+            "fr_df": "DF"}
     for name, fr in given.items():
         _check(isinstance(fr, FrontierResult) and fr.scheme == want[name],
                f"{claim}: {name} must be a frontier of scheme {want[name]}, got "
@@ -268,32 +263,20 @@ def verify_joint_dominates_separate(g: ChannelGains, budget: PowerBudget,
     )
 
 
-def verify_achievable_in_outer(g: ChannelGains, budget: PowerBudget, fr_df: FrontierResult,
-                               fr_out: FrontierResult) -> Verdict:
+def verify_achievable_in_outer(g: ChannelGains, budget: PowerBudget) -> Verdict:
     """The outer region contains the decode-forward region at every
-    allocation, proven on the term tables, and the DF frontier's hull sits
-    inside the OUTER frontier's; also reports the equal-weight sum-rate gap
-    between the two schemes."""
-    _check_frontiers("achievable_in_outer", fr_df=fr_df, fr_out=fr_out)
+    allocation, proven on the term tables; also reports the equal-weight
+    sum-rate gap between the two schemes."""
     worst, witness = _prove("achievable_in_outer", g)
-    # the outer region at each decode-forward optimum covers that optimum's
-    # vertex; the sampled outer hull alone is an inner approximation that can
-    # miss it
-    cross = [weighted_best_vertex(polygon_from_constraints(
-        gaussian_outer_region(g, r.slots, r.allocation)), r.mu)[0] for r in fr_df.points]
-    hull_out = upper_hull([r.vertex for r in fr_out.points] + cross)
-    ok, hull_slack = region_contains(hull_out, fr_df.hull, HULL_TOL)
-
     r_df = optimize_scheme(g, budget, "DF", (1.0, 1.0), _CFG)
     r_out = optimize_scheme(g, budget, "OUTER", (1.0, 1.0), _CFG)
-    gap = r_out.value - r_df.value
     return Verdict(
         claim="achievable_in_outer",
-        passed=worst >= -CONTAIN_TOL and ok,
+        passed=worst >= -CONTAIN_TOL,
         worst_slack=worst,
         tolerance=CONTAIN_TOL,
         witness=witness,
-        details={"sum_rate_gap": gap, "hull_slack": hull_slack, "hull_tolerance": HULL_TOL},
+        details={"sum_rate_gap": r_out.value - r_df.value},
     )
 
 
@@ -344,16 +327,16 @@ def verify_full_vs_partial_user_decoding(g: ChannelGains, fr_full: FrontierResul
 
 def verify_claims(g: ChannelGains, budget: PowerBudget, weight_count: int,
                   seed: int) -> List[Verdict]:
-    """Every claim on one scenario, each of PDF_JOINT, DF, OUTER and
-    PDF_PARTIAL traced once over ``weight_count`` directions:
+    """Every claim on one scenario, each of PDF_JOINT, DF and PDF_PARTIAL
+    traced once over ``weight_count`` directions:
     pdf_df_equivalence, joint_dominates_separate, achievable_in_outer,
     degraded_capacity and full_vs_partial_user_decoding, in that order."""
     fr = {scheme: frontier(g, budget, scheme, weight_count, _CFG)
-          for scheme in ("PDF_JOINT", "DF", "OUTER", "PDF_PARTIAL")}
+          for scheme in ("PDF_JOINT", "DF", "PDF_PARTIAL")}
     return [
         verify_pdf_df_equivalence(g, fr["PDF_JOINT"], fr["DF"]),
         verify_joint_dominates_separate(g, budget, SAMPLES, seed),
-        verify_achievable_in_outer(g, budget, fr["DF"], fr["OUTER"]),
+        verify_achievable_in_outer(g, budget),
         verify_degraded_capacity(g),
         verify_full_vs_partial_user_decoding(g, fr["PDF_JOINT"], fr["PDF_PARTIAL"]),
     ]

@@ -318,16 +318,17 @@ class TestMain:
         assert ("PDF_PARTIAL", 3) in seen
         assert all(count == 3 for _, count in seen), seen
         # each scheme's frontier is traced once and shared by the claims; the
-        # degraded claim is proven on the term tables and traces nothing
+        # degraded and outer claims are proven on the term tables and trace
+        # nothing
         assert sorted(scheme for scheme, _ in seen) == sorted(
-            ["PDF_JOINT", "DF", "OUTER", "PDF_PARTIAL"]), seen
+            ["PDF_JOINT", "DF", "PDF_PARTIAL"]), seen
 
     def test_verify_skips_degraded_where_it_does_not_apply(self, tmp_path, monkeypatch):
-        # k12 <= k10: the degraded claim is n/a, and the same four schemes are traced
+        # k12 <= k10: the degraded claim is n/a, and the same three schemes are traced
         doc = PENTAGON_DOC.replace("k12: 2.0", "k12: 1.0")
         seen = self._traced_by_verify(tmp_path, monkeypatch, doc)
         assert sorted(scheme for scheme, _ in seen) == sorted(
-            ["PDF_JOINT", "DF", "OUTER", "PDF_PARTIAL"]), seen
+            ["PDF_JOINT", "DF", "PDF_PARTIAL"]), seen
         rows = read_csv(tmp_path / "verdicts.csv")
         assert [r[1] for r in rows if r[0] == "degraded_capacity"] == ["n/a"]
 

@@ -26,6 +26,7 @@ from hdmac.optimize import (
 from hdmac.verify import (
     EXACT_TOL,
     _K_TOL,
+    _PROVEN,
     _prove,
     degraded_rho,
     df_to_pdf_allocation,
@@ -127,11 +128,19 @@ class TestVerdicts:
         assert not v.details["strictness_checked"]
 
     def test_achievable_in_outer_passes(self):
-        v = verify_achievable_in_outer(SYM, BUDGET, traced(SYM, "DF"), traced(SYM, "OUTER"))
+        v = verify_achievable_in_outer(SYM, BUDGET)
         assert v.passed
         assert v.details["sum_rate_gap"] >= -1e-9
         slack = replay_witness(v, SYM, BUDGET)
         assert slack == pytest.approx(v.worst_slack, abs=1e-12)
+
+    def test_achievable_in_outer_fails_on_a_refused_proof(self, monkeypatch):
+        # the proof is the verdict's only gate: OUTER is not inside DF
+        monkeypatch.setitem(_PROVEN, "achievable_in_outer", (("DF", "OUTER"),))
+        v = verify_achievable_in_outer(SYM, BUDGET)
+        assert not v.passed
+        assert v.worst_slack == -math.inf
+        assert v.witness["proofs"][0]["refused"] is not None
 
     def test_degraded_capacity_passes_and_replays(self):
         v = verify_degraded_capacity(SYM)
@@ -197,7 +206,7 @@ class TestVerdicts:
     def test_outer_gap_reported_for_dead_cooperation(self):
         # diagnostic only: with no inter-user links the verdict still runs
         # and reports the equal-weight gap without asserting it away
-        v = verify_achievable_in_outer(DEAD, BUDGET, traced(DEAD, "DF"), traced(DEAD, "OUTER"))
+        v = verify_achievable_in_outer(DEAD, BUDGET)
         assert v.passed
         assert "sum_rate_gap" in v.details
 
@@ -243,13 +252,10 @@ class TestFrontierArguments:
     @pytest.mark.parametrize("claim, args, name", [
         (verify_pdf_df_equivalence, lambda: (SYM, traced(SYM, "DF"), traced(SYM, "DF")),
          "fr_pdf must be a frontier of scheme PDF_JOINT, got 'DF'"),
-        (verify_achievable_in_outer,
-         lambda: (SYM, BUDGET, traced(SYM, "DF"), traced(SYM, "DEGRADED")),
-         "fr_out must be a frontier of scheme OUTER, got 'DEGRADED'"),
         (verify_full_vs_partial_user_decoding,
          lambda: (SYM, traced(SYM, "PDF_PARTIAL"), traced(SYM, "PDF_PARTIAL")),
          "fr_full must be a frontier of scheme PDF_JOINT, got 'PDF_PARTIAL'"),
-    ], ids=["equivalence", "outer", "partial"])
+    ], ids=["equivalence", "partial"])
     def test_wrong_scheme_rejected(self, claim, args, name):
         with pytest.raises(ValidationError, match=name):
             claim(*args())
@@ -257,11 +263,9 @@ class TestFrontierArguments:
     @pytest.mark.parametrize("claim, args", [
         (verify_pdf_df_equivalence,
          lambda: (SYM, traced(SYM, "PDF_JOINT"), fewer(traced(SYM, "DF")))),
-        (verify_achievable_in_outer,
-         lambda: (SYM, BUDGET, traced(SYM, "DF"), fewer(traced(SYM, "OUTER")))),
         (verify_full_vs_partial_user_decoding,
          lambda: (SYM, traced(SYM, "PDF_JOINT"), fewer(traced(SYM, "PDF_PARTIAL")))),
-    ], ids=["equivalence", "outer", "partial"])
+    ], ids=["equivalence", "partial"])
     def test_different_directions_rejected(self, claim, args):
         with pytest.raises(ValidationError, match="different weight directions"):
             claim(*args())
